@@ -33,10 +33,8 @@ from .constacodes import (
 from .distances import (
     HAMMING,
     HOMOGENEOUS,
-    DistanceReport,
     DistanceRow,
     brute_force_min_weight,
-    distance_report,
     distance_table,
     field_hamming_distance_formula,
     hamming_distance_formula,

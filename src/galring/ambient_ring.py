@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
-    BudgetExceededError,
     ContextMismatchError,
     NotAUnitError,
     ParamsMismatchError,
+    check_budget,
 )
-from .galois_ring import GrElement, Raw, RingContext
+from .galois_ring import GrElement, Raw, RingContext, exact_quotient
 from .unit_types import TYPE1, UnitClass, classify_unit
 
 PolyRaw = tuple[Raw, ...]
@@ -93,14 +93,11 @@ class AmbientParams:
 
     def constant(self, c: GrElement | int) -> "AmbientPoly":
         if isinstance(c, int):
-            c = self.ctx.from_int(c)
+            c = self.ctx.const(c)
         return self.monomial(0, c)
 
     def x_minus(self, c: GrElement) -> "AmbientPoly":
-        raw = [self.ctx.zero.coeffs] * self.n
-        raw[0] = (-c).coeffs
-        raw[1] = self.ctx.one.coeffs
-        return AmbientPoly(self, tuple(raw))
+        return self.monomial(1) - self.constant(c)
 
     def element(self, coeffs: Sequence[GrElement]) -> "AmbientPoly":
         if len(coeffs) != self.n:
@@ -154,29 +151,22 @@ class AmbientPoly:
         if other.params is not self.params and other.params.key != self.params.key:
             raise ParamsMismatchError("ambient elements from different rings")
 
-    def __add__(self, other):
+    def _coefficientwise(self, other, op):
         if not isinstance(other, AmbientPoly):
             return NotImplemented
         self._check(other)
-        add = self.params.ctx.add_raw
         return AmbientPoly(
-            self.params, tuple(add(x, y) for x, y in zip(self.raw, other.raw))
+            self.params, tuple(op(x, y) for x, y in zip(self.raw, other.raw))
         )
+
+    def __add__(self, other):
+        return self._coefficientwise(other, self.params.ctx.add_raw)
 
     def __sub__(self, other):
-        if not isinstance(other, AmbientPoly):
-            return NotImplemented
-        self._check(other)
-        sub = self.params.ctx.sub_raw
-        return AmbientPoly(
-            self.params, tuple(sub(x, y) for x, y in zip(self.raw, other.raw))
-        )
+        return self._coefficientwise(other, self.params.ctx.sub_raw)
 
     def __neg__(self):
-        q = self.params.ctx.q
-        return AmbientPoly(
-            self.params, tuple(tuple((-v) % q for v in c) for c in self.raw)
-        )
+        return self.scale(-1)
 
     def __mul__(self, other):
         if not isinstance(other, AmbientPoly):
@@ -235,14 +225,6 @@ def _mul_raw(params: AmbientParams, f: PolyRaw, g: PolyRaw) -> PolyRaw:
                 prod = mul(prod, gamma)
             acc[k] = add(acc[k], prod)
     return tuple(acc)
-
-
-def amb_add(f: AmbientPoly, g: AmbientPoly) -> AmbientPoly:
-    return f + g
-
-
-def amb_mul(f: AmbientPoly, g: AmbientPoly) -> AmbientPoly:
-    return f * g
 
 
 def constacyclic_shift(
@@ -342,7 +324,7 @@ class ChainReport:
 
 
 def verify_chain_structure(
-    params: AmbientParams, budget: int = DEFAULT_CHAIN_BUDGET
+    params: AmbientParams, budget: int | None = None
 ) -> ChainReport:
     """Materialize every principal ideal of R and survey the lattice.
 
@@ -353,13 +335,12 @@ def verify_chain_structure(
     the tower <(x - alpha)^i> when a chain is expected, and whether the
     set of non-units (the unique maximal ideal) is itself principal.
     """
-    size = params.size
-    if size > budget:
-        raise BudgetExceededError("principal ideal survey", size, budget)
+    check_budget("principal ideal survey", params.size, budget, DEFAULT_CHAIN_BUDGET)
     ctx = params.ctx
     elements = list(params.iter_raw())
-    units = [f for f in elements if _eval_at_alpha_is_unit(params, f)]
-    nonunits = frozenset(f for f in elements if not _eval_at_alpha_is_unit(params, f))
+    unit_flags = [_eval_at_alpha_is_unit(params, f) for f in elements]
+    units = list(itertools.compress(elements, unit_flags))
+    nonunits = frozenset(f for f, u in zip(elements, unit_flags) if not u)
 
     ideals: set[frozenset] = set()
     assigned: set[PolyRaw] = set()
@@ -410,20 +391,11 @@ def verify_chain_structure(
     )
 
 
-def _exact_quotient_poly(f: AmbientPoly, d: int) -> AmbientPoly:
-    out = []
-    for c in f.raw:
-        if any(v % d for v in c):
-            raise ValueError(f"coefficient block {c} not divisible by {d}")
-        out.append(tuple(v // d for v in c))
-    return AmbientPoly(f.params, tuple(out))
-
-
 def freshman_congruence_check(
     params: AmbientParams,
     b: GrElement,
     n: int,
-    budget: int = DEFAULT_CHAIN_BUDGET,
+    budget: int | None = None,
 ) -> bool:
     """Check the p-th power congruence for (x + b)^(p^n) in the ambient ring.
 
@@ -445,10 +417,9 @@ def freshman_congruence_check(
         return False
     if p == 2:
         if params.gamma_class.variant == TYPE1:
-            return is_unit(_exact_quotient_poly(d_poly, 2))
+            half = tuple(exact_quotient(c, 2) for c in d_poly.raw)
+            return _eval_at_alpha_is_unit(params, half)
         return True
-    size = params.size
-    if size > budget:
-        raise BudgetExceededError("freshman ideal membership", size, budget)
+    check_budget("freshman ideal membership", params.size, budget, DEFAULT_CHAIN_BUDGET)
     gen = x_plus_b.scale(p)
     return d_poly.raw in ideal_raw(params, gen.raw)

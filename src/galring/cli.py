@@ -12,25 +12,28 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
 
 from .ambient_ring import AmbientParams
 from .constacodes import ConstaCode, dual_code, enumerate_codewords, self_dual_codes, sort_words
 from .distances import DistanceRow, distance_table
 from .errors import BudgetExceededError, GalringError
-from .galois_ring import DEFAULT_ENUM_CAP, GrElement, RingContext, RingParams, build_ring
+from .galois_ring import GrElement, RingContext, RingParams, build_ring
 from .unit_types import classify_unit, is_chain_ambient
 from .verification import SweepConfig, run_default_verification, run_sweep
 
 ENV_BUDGET = "GALRING_BUDGET"
+CODE_COLUMNS = ("p", "a", "m", "s", "gamma", "alpha", "i", "cardinality")
 
 
 def _parse_element(ctx: RingContext, text: str) -> GrElement:
-    """Integers for m = 1; comma-separated coefficients c0,c1,... for m >= 2."""
-    m = ctx.params.m
+    """Integers in [0, q) for m = 1; comma-separated coefficients c0,c1,...,
+    each in [0, q), for m >= 2.  Out-of-range values are rejected, never
+    reduced."""
+    m, q = ctx.params.m, ctx.q
     if m == 1:
         if "," in text:
             raise ValueError(f"m=1 elements are plain integers, got {text!r}")
@@ -38,33 +41,38 @@ def _parse_element(ctx: RingContext, text: str) -> GrElement:
     parts = text.split(",")
     if len(parts) != m:
         raise ValueError(f"expected {m} comma-separated coefficients, got {text!r}")
-    return ctx.element([int(v) for v in parts])
+    coeffs = [int(v) for v in parts]
+    if not all(0 <= c < q for c in coeffs):
+        raise ValueError(f"coefficients must lie in [0, {q}), got {text!r}")
+    return ctx.element(coeffs)
 
 
 def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
-        value = int(env)
-        if value <= 0:
-            raise ValueError(f"{ENV_BUDGET} must be positive, got {env}")
-        return value
-    return None
+    """The --budget flag, else GALRING_BUDGET, else None (each oracle's
+    default).  Either source must be a positive integer; the flag is
+    parsed here rather than by argparse, whose errors exit with 2, the
+    budget-exceeded code."""
+    text, source = getattr(args, "budget", None), "--budget"
+    if text is None:
+        text, source = os.environ.get(ENV_BUDGET), ENV_BUDGET
+        if text is None:
+            return None
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"{source} must be positive, got {text}")
+    return value
 
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _print_csv(rows, header=None) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _write_csv(fh, rows, header=None) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     if header is not None:
         writer.writerow(header)
     for row in rows:
         writer.writerow(["" if v is None else v for v in row])
-    sys.stdout.write(out.getvalue())
 
 
 def _ring(args) -> RingContext:
@@ -109,25 +117,27 @@ def _code_from_args(args) -> ConstaCode:
     return ConstaCode(_ambient(args), args.i)
 
 
+def _code_row(code: ConstaCode) -> list:
+    """The CODE_COLUMNS of one code, with gamma and alpha as integers."""
+    d = dict(code.to_json_dict(), gamma=code.gamma.to_int(), alpha=code.alpha.to_int())
+    return [d[c] for c in CODE_COLUMNS]
+
+
 def _emit_code(code: ConstaCode, args) -> int:
     budget = _budget(args)
     words = None
     if args.words:
-        kwargs = {"budget": budget} if budget is not None else {}
-        words = sort_words(enumerate_codewords(code, **kwargs))
+        found = sort_words(enumerate_codewords(code, budget=budget))
+        words = [[el.to_int() for el in w] for w in found]
     if args.format == "csv":
         if words is not None:
-            _print_csv([[el.to_int() for el in w] for w in words])
+            _write_csv(sys.stdout, words)
         else:
-            d = code.to_json_dict()
-            d["gamma"] = code.gamma.to_int()
-            d["alpha"] = code.alpha.to_int()
-            cols = ("p", "a", "m", "s", "gamma", "alpha", "i", "cardinality")
-            _print_csv([[d[c] for c in cols]], header=cols)
+            _write_csv(sys.stdout, [_code_row(code)], header=CODE_COLUMNS)
         return 0
     out = code.to_json_dict()
     if words is not None:
-        out["words"] = [[el.to_int() for el in w] for w in words]
+        out["words"] = words
     _print_json(out)
     return 0
 
@@ -141,13 +151,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    kwargs = {}
     budget = _budget(args)
-    if budget is not None:
-        kwargs["budget"] = budget
-    rows = distance_table(_ambient(args), with_oracle=args.oracle, **kwargs)
+    rows = distance_table(_ambient(args), with_oracle=args.oracle, budget=budget)
     if args.format == "csv":
-        _print_csv([r.to_row() for r in rows], header=DistanceRow.COLUMNS)
+        _write_csv(sys.stdout, [r.to_row() for r in rows], header=DistanceRow.COLUMNS)
     else:
         _print_json({"rows": [r.to_json_dict() for r in rows]})
     return 0
@@ -156,25 +163,20 @@ def cmd_distances(args) -> int:
 def cmd_selfdual(args) -> int:
     codes = sorted(self_dual_codes(_ambient(args)), key=lambda c: c.i)
     if args.format == "csv":
-        cols = ("p", "a", "m", "s", "gamma", "alpha", "i", "cardinality")
-        rows = []
-        for c in codes:
-            d = dict(c.to_json_dict(), gamma=c.gamma.to_int(), alpha=c.alpha.to_int())
-            rows.append([d[col] for col in cols])
-        _print_csv(rows, header=cols)
+        _write_csv(sys.stdout, [_code_row(c) for c in codes], header=CODE_COLUMNS)
     else:
         _print_json({"codes": [c.to_json_dict() for c in codes]})
     return 0
 
 
 def cmd_verify(args) -> int:
+    budget = _budget(args)
     if args.config is not None:
         with open(args.config) as fh:
             config = SweepConfig.from_json_dict(json.load(fh))
-        if args.budget is not None:
-            config.budget = args.budget
-        elif config.budget is None:
-            config.budget = _budget(args)
+        # the flag beats the config file, which beats the environment
+        if args.budget is not None or config.budget is None:
+            config.budget = budget
         results = run_sweep(config)
         output, fmt = config.output, config.format
     else:
@@ -183,18 +185,11 @@ def cmd_verify(args) -> int:
     for r in results:
         print(r.line())
     if output is not None:
-        payload = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ]
         with open(output, "w") as fh:
             if fmt == "csv":
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("name", "passed", "detail"))
-                for r in results:
-                    writer.writerow((r.name, r.passed, r.detail))
+                _write_csv(fh, map(astuple, results), header=("name", "passed", "detail"))
             else:
-                json.dump(payload, fh, sort_keys=True, indent=2)
+                json.dump([asdict(r) for r in results], fh, sort_keys=True, indent=2)
                 fh.write("\n")
     return 0 if all(r.passed for r in results) else 3
 
@@ -218,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def output_flags(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--budget", type=int, default=None)
+        sp.add_argument("--budget", default=None, help="cap on the elements an oracle scans")
 
     sp = sub.add_parser("ring-info", help="print ring construction data")
     ring_flags(sp)
@@ -230,19 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("element", help="ring element")
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("code", help="build the code <(x - alpha)^i>")
-    ambient_flags(sp)
-    sp.add_argument("-i", type=int, required=True, help="generator exponent")
-    sp.add_argument("--words", action="store_true", help="enumerate codewords")
-    output_flags(sp)
-    sp.set_defaults(func=cmd_code)
-
-    sp = sub.add_parser("dual", help="build the dual code")
-    ambient_flags(sp)
-    sp.add_argument("-i", type=int, required=True, help="generator exponent")
-    sp.add_argument("--words", action="store_true", help="enumerate codewords")
-    output_flags(sp)
-    sp.set_defaults(func=cmd_dual)
+    for name, help_text, func in (
+        ("code", "build the code <(x - alpha)^i>", cmd_code),
+        ("dual", "build the dual code", cmd_dual),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        ambient_flags(sp)
+        sp.add_argument("-i", type=int, required=True, help="generator exponent")
+        sp.add_argument("--words", action="store_true", help="enumerate codewords")
+        output_flags(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("distances", help="distance table for one constant")
     ambient_flags(sp)
@@ -257,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run formula-vs-oracle verification")
     sp.add_argument("--config", default=None, help="JSON sweep configuration")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", default=None, help="cap on the elements an oracle scans")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -18,16 +18,16 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .ambient_ring import AmbientParams, AmbientPoly, ideal_raw, _mul_raw
+from .ambient_ring import AmbientParams, ideal_raw, _mul_raw
 from .errors import (
-    BudgetExceededError,
     IndexOutOfRangeError,
     NotAUnitError,
     ParamsMismatchError,
     WrongUnitTypeError,
+    check_budget,
 )
 from .galois_ring import DEFAULT_ENUM_CAP, GrElement
-from .unit_types import TYPE1, type1_inverse
+from .unit_types import TYPE1, _teich_inverse, type1_inverse
 
 DEFAULT_DUAL_CAP = 1 << 16
 
@@ -83,12 +83,10 @@ def build_code(ambient: AmbientParams, i: int) -> ConstaCode:
 
 
 def enumerate_codewords(
-    code: ConstaCode, budget: int = DEFAULT_ENUM_CAP
+    code: ConstaCode, budget: int | None = None
 ) -> frozenset[Word]:
     """All codewords, by materializing {f*g : f in R}."""
-    size = code.ambient.size
-    if size > budget:
-        raise BudgetExceededError("codeword enumeration", size, budget)
+    check_budget("codeword enumeration", code.ambient.size, budget, DEFAULT_ENUM_CAP)
     ctx = code.ambient.ctx
     raws = ideal_raw(code.ambient, code.generator.raw)
     return frozenset(tuple(GrElement(ctx, c) for c in raw) for raw in raws)
@@ -115,14 +113,12 @@ def word_dot(w1: Word, w2: Word) -> GrElement:
 
 
 def brute_force_dual(
-    code: ConstaCode, budget: int = DEFAULT_DUAL_CAP
+    code: ConstaCode, budget: int | None = None
 ) -> frozenset[Word]:
     """Every length-n word orthogonal to all codewords, found by scanning
     the full ambient module."""
     ambient = code.ambient
-    size = ambient.size
-    if size > budget:
-        raise BudgetExceededError("brute-force dual scan", size, budget)
+    check_budget("brute-force dual scan", ambient.size, budget, DEFAULT_DUAL_CAP)
     ctx = ambient.ctx
     mul, add = ctx.mul_raw, ctx.add_raw
     zero = ctx.zero.coeffs
@@ -177,18 +173,14 @@ def is_self_orthogonal(code: ConstaCode) -> bool:
     ambient = code.ambient
     a = ambient.ctx.params.a
     n = ambient.n
-    z0 = ambient.gamma_class.zeta0
-    if z0 == _teich_inv(z0):
+    if _zeta0_self_inverse(ambient):
         return code.i >= (a * n + 1) // 2
     return code.i >= ((a + 1) // 2) * n
 
 
-def _teich_inv(z0: GrElement) -> GrElement:
-    ctx = z0.ctx
-    q1 = ctx.params.residue_size - 1
-    from .galois_ring import teichmuller_log
-
-    return ctx.teich_exp((q1 - teichmuller_log(z0)) % q1)
+def _zeta0_self_inverse(ambient: AmbientParams) -> bool:
+    cls = ambient.gamma_class
+    return cls.zeta0 == _teich_inverse(ambient.ctx, cls.zeta0_idx)
 
 
 def self_dual_codes(ambient: AmbientParams) -> list[ConstaCode]:
@@ -197,8 +189,7 @@ def self_dual_codes(ambient: AmbientParams) -> list[ConstaCode]:
         raise WrongUnitTypeError("self-dual search requires a Type1 constant")
     params = ambient.ctx.params
     a, p, n = params.a, params.p, ambient.n
-    z0 = ambient.gamma_class.zeta0
-    if z0 == _teich_inv(z0):
+    if _zeta0_self_inverse(ambient):
         if (a * p) % 2 == 0:
             return [ConstaCode(ambient, a * n // 2)]
         return []
@@ -208,7 +199,7 @@ def self_dual_codes(ambient: AmbientParams) -> list[ConstaCode]:
 
 
 def is_gamma2_constacyclic(
-    code: ConstaCode, gamma2: GrElement, budget: int = DEFAULT_ENUM_CAP
+    code: ConstaCode, gamma2: GrElement, budget: int | None = None
 ) -> bool:
     """Whether the codeword set is closed under the gamma2 shift."""
     ctx = code.ambient.ctx
@@ -216,9 +207,7 @@ def is_gamma2_constacyclic(
         raise ParamsMismatchError("gamma2 from a different context")
     if not gamma2.is_unit:
         raise NotAUnitError("shift constant must be a unit")
-    size = code.ambient.size
-    if size > budget:
-        raise BudgetExceededError("shift-closure scan", size, budget)
+    check_budget("shift-closure scan", code.ambient.size, budget, DEFAULT_ENUM_CAP)
     raws = ideal_raw(code.ambient, code.generator.raw)
     mul = ctx.mul_raw
     g2 = gamma2.coeffs

@@ -9,12 +9,13 @@ brute-force counterpart that scans codewords directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache
+from typing import ClassVar, Iterator
 
 from .constacodes import ConstaCode, Word, enumerate_codewords
 from .errors import CharacteristicTooSmallError, IndexOutOfRangeError
-from .galois_ring import DEFAULT_ENUM_CAP, GrElement
+from .galois_ring import GrElement
 
 HAMMING = "hamming"
 HOMOGENEOUS = "homogeneous"
@@ -58,21 +59,28 @@ def _assert_partition(bands: tuple[Band, ...], top: int) -> tuple[Band, ...]:
     return bands
 
 
-@lru_cache(maxsize=None)
-def _hamming_bands(a: int, p: int, s: int) -> tuple[Band, ...]:
+def _band_tail(a: int, p: int, s: int, w: int) -> Iterator[Band]:
+    """The bands above n(a - 1) = a p^s - p^s, where the code lies in
+    p^(a-1) GR[x] and every distance is a multiple of the weight w of a
+    nonzero element there, ending with the zero code at a p^s."""
     n = p**s
-    bands: list[Band] = [(0, n * (a - 1), 1)]
     base = n * (a - 1)
     step = p ** (s - 1)
     for l in range(p - 1):
-        bands.append((base + l * step + 1, base + (l + 1) * step, l + 2))
+        yield (base + l * step + 1, base + (l + 1) * step, (l + 2) * w)
     for k in range(1, s):
         for t in range(1, p):
             lo = a * n - p ** (s - k) + (t - 1) * p ** (s - k - 1) + 1
             hi = a * n - p ** (s - k) + t * p ** (s - k - 1)
-            bands.append((lo, hi, (t + 1) * p**k))
-    bands.append((a * n, a * n, 0))
-    return _assert_partition(tuple(bands), a * n)
+            yield (lo, hi, (t + 1) * w * p**k)
+    yield (a * n, a * n, 0)
+
+
+@lru_cache(maxsize=None)
+def _hamming_bands(a: int, p: int, s: int) -> tuple[Band, ...]:
+    n = p**s
+    bands = ((0, n * (a - 1), 1), *_band_tail(a, p, s, 1))
+    return _assert_partition(bands, a * n)
 
 
 @lru_cache(maxsize=None)
@@ -80,19 +88,12 @@ def _homogeneous_bands(a: int, p: int, m: int, s: int) -> tuple[Band, ...]:
     n = p**s
     w_free = (p**m - 1) * p ** (m * (a - 2))
     w_top = p ** (m * (a - 1))
-    bands: list[Band] = [(0, n * (a - 2), w_free)]
-    bands.append((n * (a - 2) + 1, n * (a - 1), w_top))
-    base = n * (a - 1)
-    step = p ** (s - 1)
-    for l in range(p - 1):
-        bands.append((base + l * step + 1, base + (l + 1) * step, (l + 2) * w_top))
-    for k in range(1, s):
-        for t in range(1, p):
-            lo = a * n - p ** (s - k) + (t - 1) * p ** (s - k - 1) + 1
-            hi = a * n - p ** (s - k) + t * p ** (s - k - 1)
-            bands.append((lo, hi, (t + 1) * w_top * p**k))
-    bands.append((a * n, a * n, 0))
-    return _assert_partition(tuple(bands), a * n)
+    bands = (
+        (0, n * (a - 2), w_free),
+        (n * (a - 2) + 1, n * (a - 1), w_top),
+        *_band_tail(a, p, s, w_top),
+    )
+    return _assert_partition(bands, a * n)
 
 
 def _lookup(bands: tuple[Band, ...], i: int) -> int:
@@ -121,7 +122,7 @@ def homogeneous_distance_formula(a: int, p: int, m: int, s: int, i: int) -> int:
 
 
 def brute_force_min_weight(
-    code: ConstaCode, kind: str = HAMMING, budget: int = DEFAULT_ENUM_CAP
+    code: ConstaCode, kind: str = HAMMING, budget: int | None = None
 ) -> int:
     """Minimum weight over all nonzero codewords; 0 for the zero code."""
     weigh = {HAMMING: hamming_weight, HOMOGENEOUS: homogeneous_word_weight}[kind]
@@ -134,37 +135,6 @@ def brute_force_min_weight(
         if best is None or wt < best:
             best = wt
     return 0 if best is None else best
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Formula value for one exponent, with the oracle verdict when it ran."""
-
-    i: int
-    formula_value: int
-    oracle_value: int | None = None
-
-    @property
-    def agree(self) -> bool | None:
-        if self.oracle_value is None:
-            return None
-        return self.formula_value == self.oracle_value
-
-
-def distance_report(
-    code: ConstaCode,
-    kind: str = HAMMING,
-    with_oracle: bool = False,
-    budget: int = DEFAULT_ENUM_CAP,
-) -> DistanceReport:
-    params = code.ambient.ctx.params
-    p, a, m, s = params.p, params.a, params.m, code.ambient.s
-    if kind == HAMMING:
-        formula = hamming_distance_formula(a, p, s, code.i)
-    else:
-        formula = homogeneous_distance_formula(a, p, m, s, code.i)
-    oracle = brute_force_min_weight(code, kind, budget) if with_oracle else None
-    return DistanceReport(i=code.i, formula_value=formula, oracle_value=oracle)
 
 
 @dataclass(frozen=True)
@@ -183,19 +153,7 @@ class DistanceRow:
     d_hom_formula: int | None
     d_hom_oracle: int | None
 
-    COLUMNS = (
-        "p",
-        "a",
-        "m",
-        "s",
-        "gamma",
-        "i",
-        "cardinality",
-        "d_hamming_formula",
-        "d_hamming_oracle",
-        "d_hom_formula",
-        "d_hom_oracle",
-    )
+    COLUMNS: ClassVar[tuple[str, ...]]  # the field names in order, set below
 
     @property
     def agree(self) -> bool | None:
@@ -206,16 +164,17 @@ class DistanceRow:
         return ham_ok and hom_ok
 
     def to_row(self) -> tuple:
-        return tuple(getattr(self, c) for c in self.COLUMNS)
+        return astuple(self)
 
     def to_json_dict(self) -> dict:
-        out = {c: getattr(self, c) for c in self.COLUMNS}
-        out["agree"] = self.agree
-        return out
+        return dict(asdict(self), agree=self.agree)
+
+
+DistanceRow.COLUMNS = tuple(f.name for f in fields(DistanceRow))
 
 
 def distance_table(
-    ambient, with_oracle: bool = False, budget: int = DEFAULT_ENUM_CAP
+    ambient, with_oracle: bool = False, budget: int | None = None
 ) -> list[DistanceRow]:
     """One row per exponent i for a single Type1 ambient ring."""
     params = ambient.ctx.params

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget check
+every exhaustive oracle runs before it starts."""
 
 
 class GalringError(Exception):
@@ -17,6 +18,16 @@ class BudgetExceededError(GalringError):
         self.what = what
         self.required = required
         self.cap = cap
+
+
+def check_budget(what: str, required: int, budget: int | None, default: int) -> None:
+    """Raise BudgetExceededError if required exceeds the cap.
+
+    A budget of None stands for the calling oracle's default cap.
+    """
+    cap = default if budget is None else budget
+    if required > cap:
+        raise BudgetExceededError(what, required, cap)
 
 
 class ContextMismatchError(GalringError):

@@ -32,12 +32,12 @@ from typing import Iterator, Sequence
 
 from . import fppoly
 from .errors import (
-    BudgetExceededError,
     ContextMismatchError,
     NonPrimeError,
     NotAUnitError,
     NotTeichmullerError,
     ZeroElementError,
+    check_budget,
 )
 
 DEFAULT_TABLE_CAP = 1 << 16
@@ -118,38 +118,31 @@ class GrElement:
                 )
             return other
         if isinstance(other, int):
-            return self.ctx.from_int(other)
+            return self.ctx.const(other)
         return None
 
-    def __add__(self, other):
+    def _binary(self, other, op):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GrElement(self.ctx, self.ctx.add_raw(self.coeffs, other.coeffs))
+        return GrElement(self.ctx, op(self.coeffs, other.coeffs))
+
+    def __add__(self, other):
+        return self._binary(other, self.ctx.add_raw)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GrElement(self.ctx, self.ctx.sub_raw(self.coeffs, other.coeffs))
+        return self._binary(other, self.ctx.sub_raw)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GrElement(self.ctx, self.ctx.sub_raw(other.coeffs, self.coeffs))
+        return self._binary(other, lambda x, y: self.ctx.sub_raw(y, x))
 
     def __neg__(self):
-        q = self.ctx.q
-        return GrElement(self.ctx, tuple((-c) % q for c in self.coeffs))
+        return self.scale(-1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GrElement(self.ctx, self.ctx.mul_raw(self.coeffs, other.coeffs))
+        return self._binary(other, self.ctx.mul_raw)
 
     __rmul__ = __mul__
 
@@ -177,7 +170,7 @@ class GrElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.ctx.from_int(other)
+            other = self.ctx.const(other)
         if not isinstance(other, GrElement):
             return NotImplemented
         return self.coeffs == other.coeffs and (
@@ -217,15 +210,17 @@ class RingContext:
     def __init__(
         self,
         params: RingParams,
-        h: Raw,
+        h: Raw | None = None,
         zeta_coeffs: Raw | None = None,
-        table_cap: int = DEFAULT_TABLE_CAP,
+        table_cap: int | None = None,
     ):
         params.validate()
-        if params.residue_size - 1 > table_cap:
-            raise BudgetExceededError(
-                "Teichmuller table", params.residue_size - 1, table_cap
-            )
+        # checked before the search for h, which is exponential in m
+        check_budget(
+            "Teichmuller table", params.residue_size - 1, table_cap, DEFAULT_TABLE_CAP
+        )
+        if h is None:
+            h = fppoly.smallest_irreducible(params.p, params.m)
         self.params = params
         self.q = params.q
         h = tuple(int(c) % self.q for c in h)
@@ -243,7 +238,8 @@ class RingContext:
             self.zeta = self._find_zeta()
         else:
             self.zeta = self.element(zeta_coeffs)
-            self._check_root_order(self.zeta)
+            if not self._order_is_maximal(self.zeta):
+                raise ValueError(f"zeta does not have order {params.residue_size - 1}")
         self.teich_table, self.teich_log = self._build_teich_table()
 
     # -- construction internals -------------------------------------
@@ -271,20 +267,9 @@ class RingContext:
             return False
         return all(t ** (q1 // r) != self.one for r in fppoly.prime_factors(q1))
 
-    def _check_root_order(self, t: GrElement) -> None:
-        q1 = self.params.residue_size - 1
-        if q1 == 1:
-            if t != self.one:
-                raise ValueError("zeta must be 1 when p^m - 1 = 1")
-            return
-        if not self._order_is_maximal(t):
-            raise ValueError(f"zeta does not have order {q1}")
-
     def _find_zeta(self) -> GrElement:
         p, a, m = self.params.p, self.params.a, self.params.m
         q_res = self.params.residue_size
-        if q_res - 1 == 1:
-            return self.one
         hbar = tuple(c % p for c in self.h)
         radicals = fppoly.prime_factors(q_res - 1)
         for k in range(1, q_res):
@@ -372,13 +357,19 @@ class RingContext:
             )
         return GrElement(self, tuple(int(c) % self.q for c in coeffs))
 
+    def const(self, k: int) -> GrElement:
+        """The integer k as the constant k * 1."""
+        return GrElement(self, (k % self.q,) + (0,) * (self.params.m - 1))
+
     def from_int(self, v: int) -> GrElement:
-        """Inverse of GrElement.to_int: base-q digits become coefficients."""
-        coeffs = []
-        for _ in range(self.params.m):
-            coeffs.append(v % self.q)
-            v //= self.q
-        return GrElement(self, tuple(coeffs))
+        """Inverse of GrElement.to_int: base-q digits become coefficients.
+
+        Only the encodings 0 <= v < q^m are accepted; use const() for an
+        integer constant.
+        """
+        if not 0 <= v < self.size:
+            raise ValueError(f"encoding {v} outside [0, {self.size}) for {self!r}")
+        return GrElement(self, _int_digits(v, self.q, self.params.m))
 
     def teich(self, idx: int) -> GrElement:
         """Teichmuller table entry (0 -> zero, k >= 1 -> zeta^(k-1))."""
@@ -401,10 +392,7 @@ class RingContext:
             yield GrElement(self, raw)
 
     def iter_units(self) -> Iterator[GrElement]:
-        p = self.params.p
-        for raw in self.iter_raw():
-            if any(c % p for c in raw):
-                yield GrElement(self, raw)
+        return (x for x in self.iter_elements() if x.is_unit)
 
     # -- serialization ------------------------------------------------
 
@@ -435,27 +423,28 @@ class RingContext:
         return f"GR({p**a},{m})"
 
 
-def _int_digits(k: int, p: int, m: int) -> Raw:
+def exact_quotient(raw: Raw, d: int) -> Raw:
+    """Coefficient-wise quotient by d, which must divide every coefficient."""
+    if any(c % d for c in raw):
+        raise ValueError(f"coefficients {list(raw)} are not all divisible by {d}")
+    return tuple(c // d for c in raw)
+
+
+def _int_digits(k: int, base: int, m: int) -> Raw:
     digits = []
     for _ in range(m):
-        digits.append(k % p)
-        k //= p
+        digits.append(k % base)
+        k //= base
     return tuple(digits)
 
 
-def build_ring(params: RingParams, table_cap: int = DEFAULT_TABLE_CAP) -> RingContext:
+def build_ring(params: RingParams, table_cap: int | None = None) -> RingContext:
     """Construct the canonical context for GR(p^a, m).
 
     The modulus lifts the lexicographically smallest monic irreducible of
     degree m over F_p verbatim to Z_{p^a}.
     """
-    params.validate()
-    if params.residue_size - 1 > table_cap:
-        raise BudgetExceededError(
-            "Teichmuller table", params.residue_size - 1, table_cap
-        )
-    h = fppoly.smallest_irreducible(params.p, params.m)
-    return RingContext(params, h, table_cap=table_cap)
+    return RingContext(params, table_cap=table_cap)
 
 
 @lru_cache(maxsize=None)
@@ -507,16 +496,10 @@ def unit_p_power_form(x: GrElement) -> tuple[GrElement, int]:
     if x.is_zero:
         raise ZeroElementError("zero has no v * p^k form")
     p = x.ctx.params.p
-    k = x.ctx.params.a
-    for c in x.coeffs:
-        if c:
-            v = 0
-            while c % p == 0:
-                c //= p
-                v += 1
-            k = min(k, v)
-    pk = p**k
-    return x.ctx.element(tuple(c // pk for c in x.coeffs)), k
+    k = 0
+    while not any(c % p ** (k + 1) for c in x.coeffs):
+        k += 1
+    return GrElement(x.ctx, exact_quotient(x.coeffs, p**k)), k
 
 
 def invert(x: GrElement) -> GrElement:
@@ -529,7 +512,7 @@ def invert(x: GrElement) -> GrElement:
         raise NotAUnitError(f"{x!r} is not a unit")
     ctx = x.ctx
     y = x ** (ctx.params.residue_size - 2)
-    two = ctx.from_int(2)
+    two = ctx.const(2)
     for _ in range((ctx.params.a - 1).bit_length()):
         y = y * (two - x * y)
     return y

@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAUnitError, WrongUnitTypeError
-from .galois_ring import GrElement, RingContext, invert, p_adic_decompose
+from .galois_ring import (
+    GrElement,
+    RingContext,
+    exact_quotient,
+    invert,
+    p_adic_decompose,
+)
 
 NON_UNIT = "NonUnit"
 TYPE0 = "Type0"
@@ -80,15 +86,6 @@ class UnitClass:
         }
 
 
-def _exact_quotient(x: GrElement, d: int) -> GrElement:
-    coeffs = []
-    for c in x.coeffs:
-        if c % d:
-            raise ValueError(f"coefficient {c} is not divisible by {d}")
-        coeffs.append(c // d)
-    return x.ctx.element(coeffs)
-
-
 def classify_unit(x: GrElement) -> UnitClass:
     """Classify x as Type0, Type1, or NonUnit with digit witnesses."""
     ctx = x.ctx
@@ -102,8 +99,10 @@ def classify_unit(x: GrElement) -> UnitClass:
     if digits[1] != 0:
         t1 = ctx.teich_table[digits[1]]
         rem = x - t0 - t1.scale(p)
-        return UnitClass(x, TYPE1, digits[0], digits[1], _exact_quotient(rem, p * p))
-    return UnitClass(x, TYPE0, digits[0], None, _exact_quotient(x - t0, p * p))
+        z = exact_quotient(rem.coeffs, p * p)
+        return UnitClass(x, TYPE1, digits[0], digits[1], GrElement(ctx, z))
+    z = exact_quotient((x - t0).coeffs, p * p)
+    return UnitClass(x, TYPE0, digits[0], None, GrElement(ctx, z))
 
 
 def is_chain_ambient(gamma: GrElement, s: int) -> bool:

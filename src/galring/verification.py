@@ -14,7 +14,7 @@ nilpotency needs nothing but repeated squaring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .ambient_ring import (
     AmbientParams,
@@ -38,7 +38,7 @@ from .distances import (
     hamming_distance_formula,
     homogeneous_distance_formula,
 )
-from .errors import GalringError
+from .errors import BudgetExceededError, GalringError
 from .galois_ring import GrElement, RingParams, invert, ring
 from .unit_types import (
     TYPE1,
@@ -86,36 +86,78 @@ class CheckResult:
 
 def _type1_ambients(p: int, a: int, m: int, s: int):
     ctx = ring(p, a, m)
-    for g in ctx.iter_units():
-        if classify_unit(g).variant == TYPE1:
-            yield AmbientParams(ctx, s, g)
+    for g in _selected_gammas(ctx, "all-type1"):
+        yield AmbientParams(ctx, s, g)
+
+
+def _codes(amb: AmbientParams) -> list[ConstaCode]:
+    """Every code C_0, ..., C_{a p^s} of a Type1 ambient, by exponent."""
+    return [ConstaCode(amb, i) for i in range(amb.ctx.params.a * amb.n + 1)]
+
+
+def _chain_verdict(amb: AmbientParams, budget: int | None = None) -> tuple[bool, bool]:
+    """(predicted, agrees): the unit-type chain verdict, and whether the
+    ideal survey matches it.  A chain must have the a p^s + 1 ideals of
+    sizes p^(m(a p^s - i)), equal to the tower of powers of x - alpha,
+    and a principal maximal ideal; a non-chain a non-principal one."""
+    p, a, m = amb.ctx.params.p, amb.ctx.params.a, amb.ctx.params.m
+    n = amb.n
+    predicted = is_chain_ambient(amb.gamma, amb.s)
+    rep = verify_chain_structure(amb, budget)
+    if not predicted:
+        return False, not rep.is_chain and rep.maximal_ideal_principal is False
+    sizes = tuple(p ** (m * (a * n - i)) for i in range(a * n + 1))
+    agrees = (
+        rep.is_chain
+        and rep.ideal_count == a * n + 1
+        and rep.ideal_sizes == sizes
+        and rep.tower_match is True
+        and rep.maximal_ideal_principal is True
+    )
+    return True, agrees
+
+
+def _distance_mismatches(
+    amb: AmbientParams, kinds: tuple[str, ...], budget: int | None = None
+) -> list[str]:
+    """Distance formula vs exhaustive minimum weight, for each kind and
+    every exponent i of a Type1 ambient; one entry per disagreement."""
+    p, a, m = amb.ctx.params.p, amb.ctx.params.a, amb.ctx.params.m
+    s = amb.s
+    bad = []
+    for code in _codes(amb):
+        for kind in kinds:
+            if kind == HAMMING:
+                formula = hamming_distance_formula(a, p, s, code.i)
+            else:
+                formula = homogeneous_distance_formula(a, p, m, s, code.i)
+            oracle = brute_force_min_weight(code, kind, budget)
+            if formula != oracle:
+                bad.append(
+                    f"GR({p}^{a},{m}) s={s} gamma={amb.gamma.to_int()}"
+                    f" i={code.i} {kind}: {formula} != {oracle}"
+                )
+    return bad
 
 
 def check_chain_classification() -> CheckResult:
-    """Exhaustive ideal survey vs the unit-type verdict, for every unit."""
+    """Exhaustive ideal survey vs the unit-type verdict, for every unit.
+    Constants over the survey budget are skipped and counted."""
     bad = []
+    constants = skipped = 0
     for p, a, m, s in CHAIN_SUITE:
         ctx = ring(p, a, m)
-        n = p**s
         for g in ctx.iter_units():
-            amb = AmbientParams(ctx, s, g)
-            predicted = is_chain_ambient(g, s)
-            rep = verify_chain_structure(amb)
-            ok = rep.is_chain == predicted
-            if predicted:
-                sizes = tuple(p ** (m * (a * n - i)) for i in range(a * n + 1))
-                ok = ok and rep.ideal_count == a * n + 1
-                ok = ok and rep.ideal_sizes == sizes
-                ok = ok and rep.tower_match is True
-                ok = ok and rep.maximal_ideal_principal is True
-            else:
-                ok = ok and rep.maximal_ideal_principal is False
-            if not ok:
+            constants += 1
+            try:
+                _, agrees = _chain_verdict(AmbientParams(ctx, s, g))
+            except BudgetExceededError:
+                skipped += 1
+                continue
+            if not agrees:
                 bad.append(f"GR({p}^{a},{m}) s={s} gamma={g.to_int()}")
-    detail = "GR(9,1) s=2 out of enumeration budget, skipped"
-    if bad:
-        detail = "; ".join(bad)
-    return CheckResult("chain-classification", not bad, detail)
+    counts = f"{len(CHAIN_SUITE)} rings, {constants} constants, {skipped} skipped"
+    return CheckResult("chain-classification", not bad, "; ".join(bad + [counts]))
 
 
 def check_nilpotency() -> CheckResult:
@@ -141,16 +183,16 @@ def check_nilpotency() -> CheckResult:
 def check_cardinality_nesting() -> CheckResult:
     """|C_i| = p^(m(a p^s - i)) and strict nesting in i, by enumeration."""
     bad = []
-    for p, a, m, s in CHAIN_SUITE:
-        n = p**s
-        for amb in _type1_ambients(p, a, m, s):
+    for row in CHAIN_SUITE:
+        for amb in _type1_ambients(*row):
             prev = None
-            for i in range(a * n + 1):
-                words = enumerate_codewords(ConstaCode(amb, i))
-                if len(words) != p ** (m * (a * n - i)):
-                    bad.append(f"gamma={amb.gamma.to_int()} i={i}: {len(words)}")
+            for code in _codes(amb):
+                words = enumerate_codewords(code)
+                label = f"gamma={amb.gamma.to_int()} i={code.i}"
+                if len(words) != code.cardinality:
+                    bad.append(f"{label}: {len(words)}")
                 if prev is not None and not words < prev:
-                    bad.append(f"gamma={amb.gamma.to_int()} i={i}: not nested")
+                    bad.append(f"{label}: not nested")
                 prev = words
     return CheckResult("cardinality-nesting", not bad, "; ".join(bad))
 
@@ -158,47 +200,46 @@ def check_cardinality_nesting() -> CheckResult:
 def check_duality() -> CheckResult:
     """brute_force_dual == enumerate(dual_code) and the cardinality product."""
     bad = []
-    for p, a, m, s in DUALITY_SUITE:
-        n = p**s
-        for amb in _type1_ambients(p, a, m, s):
-            for i in range(a * n + 1):
-                code = ConstaCode(amb, i)
+    for row in DUALITY_SUITE:
+        for amb in _type1_ambients(*row):
+            for code in _codes(amb):
                 dual = dual_code(code)
+                label = f"gamma={amb.gamma.to_int()} i={code.i}"
                 if brute_force_dual(code) != enumerate_codewords(dual):
-                    bad.append(f"gamma={amb.gamma.to_int()} i={i}: sets differ")
-                if code.cardinality * dual.cardinality != p ** (a * m * n):
-                    bad.append(f"gamma={amb.gamma.to_int()} i={i}: cardinality")
+                    bad.append(f"{label}: sets differ")
+                if code.cardinality * dual.cardinality != amb.size:
+                    bad.append(f"{label}: cardinality")
                 if code.alpha * dual.alpha != amb.ctx.one:
-                    bad.append(f"gamma={amb.gamma.to_int()} i={i}: alpha")
+                    bad.append(f"{label}: alpha")
     return CheckResult("duality", not bad, "; ".join(bad))
+
+
+def _self_duality_mismatches(amb: AmbientParams) -> list[str]:
+    """Threshold decisions and the self-dual inventory of one Type1
+    ambient vs the C subset-of C-dual oracle, over every code."""
+    label = f"{amb.ctx!r} s={amb.s} gamma={amb.gamma.to_int()}"
+    bad = []
+    oracle = set()
+    for code in _codes(amb):
+        words = enumerate_codewords(code)
+        dual_words = brute_force_dual(code)
+        if is_self_orthogonal(code) != (words <= dual_words):
+            bad.append(f"self-orth {label} i={code.i}")
+        if words == dual_words:
+            oracle.add(code.i)
+    found = {c.i for c in self_dual_codes(amb)}
+    if found != oracle:
+        bad.append(f"self-dual {label}: {found} != {oracle}")
+    return bad
 
 
 def check_self_duality() -> CheckResult:
     """Threshold decisions vs the C subset-of C-dual oracle, and the
     self-dual inventory for the pinned rings."""
     bad = []
-    for p, a, m, s in SELF_DUALITY_SUITE:
-        n = p**s
-        for amb in _type1_ambients(p, a, m, s):
-            for i in range(a * n + 1):
-                code = ConstaCode(amb, i)
-                words = enumerate_codewords(code)
-                dual_words = brute_force_dual(code)
-                if is_self_orthogonal(code) != (words <= dual_words):
-                    bad.append(
-                        f"self-orth gamma={amb.gamma.to_int()} i={i}"
-                    )
-            found = {c.i for c in self_dual_codes(amb)}
-            oracle = {
-                i
-                for i in range(a * n + 1)
-                if enumerate_codewords(ConstaCode(amb, i))
-                == brute_force_dual(ConstaCode(amb, i))
-            }
-            if found != oracle:
-                bad.append(
-                    f"self-dual gamma={amb.gamma.to_int()}: {found} != {oracle}"
-                )
+    for row in SELF_DUALITY_SUITE:
+        for amb in _type1_ambients(*row):
+            bad += _self_duality_mismatches(amb)
 
     # Pinned inventory: Z4/s=2/gamma=3 has exactly <(x-1)^4> = <2>.
     z4 = ring(2, 2, 1)
@@ -221,28 +262,16 @@ def check_self_duality() -> CheckResult:
     amb27 = AmbientParams(z27, 1, z27.from_int(4))
     if self_dual_codes(amb27):
         bad.append("Z27 s=1 gamma=4 should have no self-dual code")
-    else:
-        for i in range(10):
-            c = ConstaCode(amb27, i)
-            if enumerate_codewords(c) == brute_force_dual(c):
-                bad.append(f"Z27 oracle found self-dual at i={i}")
+    bad += _self_duality_mismatches(amb27)
     return CheckResult("self-duality", not bad, "; ".join(bad))
 
 
 def check_hamming_distances() -> CheckResult:
     """Band formula vs exhaustive minimum weight, all suites and exponents."""
     bad = []
-    for p, a, m, s in CHAIN_SUITE:
-        n = p**s
-        for amb in _type1_ambients(p, a, m, s):
-            for i in range(a * n + 1):
-                formula = hamming_distance_formula(a, p, s, i)
-                oracle = brute_force_min_weight(ConstaCode(amb, i), HAMMING)
-                if formula != oracle:
-                    bad.append(
-                        f"GR({p}^{a},{m}) s={s} gamma={amb.gamma.to_int()}"
-                        f" i={i}: {formula} != {oracle}"
-                    )
+    for row in CHAIN_SUITE:
+        for amb in _type1_ambients(*row):
+            bad += _distance_mismatches(amb, (HAMMING,))
     profile = [hamming_distance_formula(2, 2, 2, i) for i in range(9)]
     if profile != [1, 1, 1, 1, 1, 2, 2, 4, 0]:
         bad.append(f"Z4 s=2 profile {profile}")
@@ -251,17 +280,9 @@ def check_hamming_distances() -> CheckResult:
 
 def check_homogeneous_distances() -> CheckResult:
     bad = []
-    for p, a, m, s in CHAIN_SUITE:
-        n = p**s
-        for amb in _type1_ambients(p, a, m, s):
-            for i in range(a * n + 1):
-                formula = homogeneous_distance_formula(a, p, m, s, i)
-                oracle = brute_force_min_weight(ConstaCode(amb, i), HOMOGENEOUS)
-                if formula != oracle:
-                    bad.append(
-                        f"GR({p}^{a},{m}) s={s} gamma={amb.gamma.to_int()}"
-                        f" i={i}: {formula} != {oracle}"
-                    )
+    for row in CHAIN_SUITE:
+        for amb in _type1_ambients(*row):
+            bad += _distance_mismatches(amb, (HOMOGENEOUS,))
     if [homogeneous_distance_formula(2, 2, 1, 2, i) for i in range(9)] != [
         1, 2, 2, 2, 2, 4, 4, 8, 0,
     ]:
@@ -277,7 +298,7 @@ def check_multi_constacyclicity() -> CheckResult:
     """Type1 constants sharing zeta0 carry the same codes (Z8, s=1)."""
     bad = []
     z8 = ring(2, 3, 1)
-    type1 = [g for g in z8.iter_units() if classify_unit(g).variant == TYPE1]
+    type1 = _selected_gammas(z8, "all-type1")
     pairs = [
         (g1, g2)
         for g1 in type1
@@ -285,16 +306,13 @@ def check_multi_constacyclicity() -> CheckResult:
         if classify_unit(g1).zeta0 == classify_unit(g2).zeta0
     ]
     for g1, g2 in pairs:
-        amb1 = AmbientParams(z8, 1, g1)
-        amb2 = AmbientParams(z8, 1, g2)
-        for i in range(7):
-            c1 = ConstaCode(amb1, i)
+        codes1 = _codes(AmbientParams(z8, 1, g1))
+        codes2 = _codes(AmbientParams(z8, 1, g2))
+        for c1, c2 in zip(codes1, codes2):
             if not is_gamma2_constacyclic(c1, g2):
-                bad.append(f"i={i} {g1.to_int()}->{g2.to_int()} not closed")
-            if enumerate_codewords(c1) != enumerate_codewords(
-                ConstaCode(amb2, i)
-            ):
-                bad.append(f"i={i} {g1.to_int()} vs {g2.to_int()} sets differ")
+                bad.append(f"i={c1.i} {g1.to_int()}->{g2.to_int()} not closed")
+            if enumerate_codewords(c1) != enumerate_codewords(c2):
+                bad.append(f"i={c1.i} {g1.to_int()} vs {g2.to_int()} sets differ")
     detail = f"{len(pairs)} ordered pairs" if not bad else "; ".join(bad)
     return CheckResult("multi-constacyclicity", not bad, detail)
 
@@ -395,19 +413,12 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
-        known = {"rings", "gammas", "budget", "format", "output"}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         if "rings" not in data:
             raise ValueError("config must list rings")
-        return cls(
-            rings=[tuple(row) for row in data["rings"]],
-            gammas=data.get("gammas", "all-units"),
-            budget=data.get("budget"),
-            format=data.get("format", "json"),
-            output=data.get("output"),
-        )
+        return cls(**dict(data, rings=[tuple(row) for row in data["rings"]]))
 
 
 def _selected_gammas(ctx, selection) -> list[GrElement]:
@@ -427,42 +438,26 @@ def _selected_gammas(ctx, selection) -> list[GrElement]:
 
 
 def run_sweep(config: SweepConfig) -> list[CheckResult]:
-    """Chain survey plus formula-vs-oracle distance rows for each selected
-    (ring, gamma).  Budget errors propagate to the caller."""
+    """The chain verdict of criterion 1 for each selected (ring, gamma),
+    plus the distance verdicts of criteria 6 and 7 for each Type1 gamma.
+    Budget errors propagate to the caller."""
     results = []
     for p, a, m, s in config.rings:
         ctx = ring(p, a, m)
-        n = p**s
+        kinds = (HAMMING, HOMOGENEOUS) if a >= 2 else (HAMMING,)
         for g in _selected_gammas(ctx, config.gammas):
             amb = AmbientParams(ctx, s, g)
             label = f"p={p} a={a} m={m} s={s} gamma={g.to_int()}"
-            kwargs = {}
-            if config.budget is not None:
-                kwargs["budget"] = config.budget
-            rep = verify_chain_structure(amb, **kwargs)
-            predicted = is_chain_ambient(g, s)
+            predicted, agrees = _chain_verdict(amb, config.budget)
             results.append(
                 CheckResult(
                     f"chain {label}",
-                    rep.is_chain == predicted,
+                    agrees,
                     "chain" if predicted else "expected-non-chain",
                 )
             )
-            if classify_unit(g).variant != TYPE1:
+            if amb.gamma_class.variant != TYPE1:
                 continue
-            agree = True
-            for i in range(a * n + 1):
-                code = ConstaCode(amb, i)
-                oracle_kwargs = {}
-                if config.budget is not None:
-                    oracle_kwargs["budget"] = config.budget
-                if hamming_distance_formula(a, p, s, i) != brute_force_min_weight(
-                    code, HAMMING, **oracle_kwargs
-                ):
-                    agree = False
-                if a >= 2 and homogeneous_distance_formula(
-                    a, p, m, s, i
-                ) != brute_force_min_weight(code, HOMOGENEOUS, **oracle_kwargs):
-                    agree = False
-            results.append(CheckResult(f"distances {label}", agree))
+            bad = _distance_mismatches(amb, kinds, config.budget)
+            results.append(CheckResult(f"distances {label}", not bad, "; ".join(bad)))
     return results

@@ -170,3 +170,13 @@ def test_ambient_size_and_key(neg4, z4):
     assert neg4 == AmbientParams(z4, 2, z4.from_int(3))
     assert neg4 != AmbientParams(z4, 2, z4.one)
     assert hash(neg4) == hash(AmbientParams(z4, 2, z4.from_int(3)))
+
+
+def test_p_is_zero_when_a_is_1():
+    # in GR(2,2) = F_4 the constant p is 0, which lies in <x - alpha>,
+    # while x - alpha is not in <p> = 0
+    f4 = ring(2, 1, 2)
+    amb = AmbientParams(f4, 1, f4.one)
+    assert amb.constant(2).is_zero
+    rep = verify_chain_structure(amb)
+    assert rep.p_in_x_alpha and not rep.x_alpha_in_p

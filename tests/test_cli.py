@@ -235,3 +235,37 @@ def test_reruns_byte_identical(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+def test_out_of_range_input_exits_1(capsys, tmp_path):
+    # out-of-range integers are rejected, never reduced modulo anything
+    code, _, err = run(capsys, "classify", "-p", "2", "-a", "2", "-m", "1", "17")
+    assert code == 1 and "outside" in err
+    code, _, _ = run(
+        capsys, "code", "-p", "2", "-a", "2", "-m", "1", "-s", "2",
+        "--gamma", "7", "-i", "3",
+    )
+    assert code == 1
+    for text in ("3,4", "-1,1"):
+        code, _, err = run(
+            capsys, "classify", "-p", "2", "-a", "2", "-m", "2", "--", text
+        )
+        assert code == 1 and "[0, 4)" in err
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"rings": [[2, 2, 1, 1]], "gammas": [17]}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+
+
+def test_bad_budget_flag_exits_1(capsys, tmp_path):
+    # exit code 2 is reserved for an exceeded budget
+    for value in ("-5", "0", "many"):
+        code, _, _ = run(
+            capsys, "code", "-p", "2", "-a", "2", "-m", "1", "-s", "2",
+            "--gamma", "3", "-i", "4", "--words", "--budget", value,
+        )
+        assert code == 1
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"rings": [[2, 2, 1, 1]]}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg), "--budget", "-5")
+    assert code == 1 and out == "" and "--budget" in err

@@ -14,7 +14,6 @@ from galring import (
     brute_force_min_weight,
     build_code,
     classify_unit,
-    distance_report,
     distance_table,
     field_hamming_distance_formula,
     hamming_distance_formula,
@@ -191,13 +190,14 @@ def test_oracle_budget(z4):
 
 
 def test_distance_report(z4):
+    # one DistanceRow carries formula, oracle and verdict for each kind
     amb = AmbientParams(z4, 2, z4.from_int(3))
-    rep = distance_report(build_code(amb, 7), HAMMING, with_oracle=True)
-    assert (rep.i, rep.formula_value, rep.oracle_value, rep.agree) == (
+    row = distance_table(amb, with_oracle=True)[7]
+    assert (row.i, row.d_hamming_formula, row.d_hamming_oracle, row.agree) == (
         7, 4, 4, True,
     )
-    rep = distance_report(build_code(amb, 7), HOMOGENEOUS)
-    assert (rep.formula_value, rep.oracle_value, rep.agree) == (8, None, None)
+    row = distance_table(amb)[7]
+    assert (row.d_hom_formula, row.d_hom_oracle, row.agree) == (8, None, None)
 
 
 def test_distance_table_schema(z4):

@@ -24,6 +24,7 @@ from galring import (
     teichmuller_log,
     unit_p_power_form,
 )
+from galring import fppoly
 from galring.fppoly import is_irreducible, smallest_irreducible
 
 
@@ -258,3 +259,29 @@ def test_element_hash_and_int_coercion(z4):
     assert hash(z4.from_int(3)) == hash(z4.from_int(3))
     assert z4.from_int(3) == 3
     assert {z4.from_int(3), z4.from_int(3), 3 * z4.one} == {z4.from_int(3)}
+
+
+def test_int_operands_are_constants(gr42):
+    # a plain int means k * 1, never the base-q encoding read by from_int
+    x = gr42.element([1, 1])
+    assert x * 5 == x.scale(5)
+    assert x + (-1) == x - 1
+    assert gr42.one.scale(5) == 5
+    assert gr42.const(6) == gr42.element([2, 0])
+
+
+def test_from_int_rejects_out_of_range(z4, gr42):
+    assert gr42.from_int(15).coeffs == (3, 3)
+    for ctx, v in ((z4, 4), (z4, -1), (gr42, 16)):
+        with pytest.raises(ValueError):
+            ctx.from_int(v)
+
+
+def test_table_budget_checked_before_modulus_search(monkeypatch):
+    def search(p, m):
+        raise AssertionError("modulus search ran before the table check")
+
+    monkeypatch.setattr(fppoly, "smallest_irreducible", search)
+    with pytest.raises(BudgetExceededError) as exc:
+        build_ring(RingParams(2, 1, 17))
+    assert exc.value.cap == 1 << 16

@@ -1,0 +1,85 @@
+"""Property tests for element arithmetic on rings with m >= 2 or a = 1.
+
+The other suites lean on Z_{p^a} (m = 1); these rings exercise the
+reduction modulo h and the residue-field case.  Examples are drawn with
+a fixed seed, so every run checks the same cases.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from galring import RingContext, invert, ring
+
+# (p, a, m): GR(2,2), GR(2,3), GR(9,1)'s residue field GR(3,2), GR(4,2),
+# GR(9,2) and GR(8,2)
+RINGS = ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2))
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def ring_elements(draw, count):
+    """A ring from RINGS and `count` elements of it."""
+    ctx = ring(*draw(st.sampled_from(RINGS)))
+    coeffs = st.lists(
+        st.integers(0, ctx.q - 1), min_size=ctx.params.m, max_size=ctx.params.m
+    )
+    return ctx, [ctx.element(draw(coeffs)) for _ in range(count)]
+
+
+@PROPERTY
+@given(ring_elements(3))
+def test_commutative_ring_axioms(case):
+    ctx, (x, y, z) = case
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + ctx.zero == x
+    assert x * ctx.one == x
+    assert x + (-x) == ctx.zero
+    assert x - y == x + (-y)
+
+
+@PROPERTY
+@given(ring_elements(1), st.integers(-1000, 1000))
+def test_int_operands_are_constants(case, k):
+    ctx, (x,) = case
+    assert x * k == x.scale(k)
+    assert k * x == x.scale(k)
+    assert x + k == x + ctx.const(k)
+    assert k + x == x + ctx.const(k)
+    assert x - k == x - ctx.const(k)
+    assert k - x == ctx.const(k) - x
+    assert ctx.const(k) == ctx.one.scale(k)
+    assert ctx.one.scale(k) == k
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS), st.data())
+def test_int_encoding_roundtrip(row, data):
+    ctx = ring(*row)
+    v = data.draw(st.integers(0, ctx.size - 1))
+    x = ctx.from_int(v)
+    assert x.to_int() == v
+    assert ctx.from_int(x.to_int()) == x
+
+
+@PROPERTY
+@given(ring_elements(1))
+def test_context_dict_roundtrip(case):
+    ctx, (x,) = case
+    clone = RingContext.from_dict(ctx.to_dict())
+    assert clone == ctx
+    assert clone.to_dict() == ctx.to_dict()
+    assert clone.element(x.coeffs) == x
+    assert clone.element(x.coeffs) * clone.zeta == x * ctx.zeta
+
+
+@PROPERTY
+@given(ring_elements(1))
+def test_invert_units(case):
+    ctx, (u,) = case
+    assume(u.is_unit)
+    assert invert(u) * u == ctx.one
