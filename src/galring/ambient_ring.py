@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     ContextMismatchError,
@@ -99,11 +99,6 @@ class AmbientParams:
     def x_minus(self, c: GrElement) -> "AmbientPoly":
         return self.monomial(1) - self.constant(c)
 
-    def element(self, coeffs: Sequence[GrElement]) -> "AmbientPoly":
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients")
-        return AmbientPoly(self, tuple(c.coeffs for c in coeffs))
-
     def from_raw(self, raw: PolyRaw) -> "AmbientPoly":
         return AmbientPoly(self, raw)
 
@@ -143,9 +138,6 @@ class AmbientPoly:
     @property
     def is_zero(self) -> bool:
         return not any(any(c) for c in self.raw)
-
-    def to_word(self) -> tuple[GrElement, ...]:
-        return self.coeffs
 
     def _check(self, other: "AmbientPoly") -> None:
         if other.params is not self.params and other.params.key != self.params.key:
@@ -227,14 +219,10 @@ def _mul_raw(params: AmbientParams, f: PolyRaw, g: PolyRaw) -> PolyRaw:
     return tuple(acc)
 
 
-def constacyclic_shift(
-    word: Sequence[GrElement], gamma: GrElement
-) -> tuple[GrElement, ...]:
-    """One constacyclic step: (x_0..x_{n-1}) -> (gamma*x_{n-1}, x_0, ..)."""
-    for el in word:
-        if el.ctx is not gamma.ctx and el.ctx.key != gamma.ctx.key:
-            raise ContextMismatchError("word and gamma from different contexts")
-    return (gamma * word[-1],) + tuple(word[:-1])
+def constacyclic_shift(word: PolyRaw, gamma: GrElement) -> PolyRaw:
+    """One constacyclic step on a raw word:
+    (x_0, .., x_{n-1}) -> (gamma*x_{n-1}, x_0, .., x_{n-2})."""
+    return (gamma.ctx.mul_raw(gamma.coeffs, word[-1]),) + word[:-1]
 
 
 def solve_alpha(gamma_class: UnitClass, s: int) -> GrElement:
@@ -372,11 +360,10 @@ def verify_chain_structure(
     tower_match = None
     if expect_chain:
         tower: set[frozenset] = set()
-        gpow = params.one()
-        x_alpha_poly = params.from_raw(x_alpha)
+        gpow = params.one().raw
         for _ in range(a * params.n + 1):
-            tower.add(ideal_raw(params, gpow.raw, elements))
-            gpow = gpow * x_alpha_poly
+            tower.add(ideal_raw(params, gpow, elements))
+            gpow = _mul_raw(params, gpow, x_alpha)
         tower_match = tower == ideals
 
     return ChainReport(

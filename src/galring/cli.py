@@ -127,8 +127,9 @@ def _emit_code(code: ConstaCode, args) -> int:
     budget = _budget(args)
     words = None
     if args.words:
+        ctx = code.ambient.ctx
         found = sort_words(enumerate_codewords(code, budget=budget))
-        words = [[el.to_int() for el in w] for w in found]
+        words = [[GrElement(ctx, c).to_int() for c in w] for w in found]
     if args.format == "csv":
         if words is not None:
             _write_csv(sys.stdout, words)
@@ -171,6 +172,8 @@ def cmd_selfdual(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
+    if args.config is None and args.budget is not None:
+        raise ValueError("--budget needs --config: the default suite runs at the default caps")
     if args.config is not None:
         with open(args.config) as fh:
             config = SweepConfig.from_json_dict(json.load(fh))

@@ -8,9 +8,11 @@ constant the ambient ring is a chain ring, so every code is one of
 with |C_i| = p^(m (a p^s - i)).  The Euclidean dual of C_i lives in the
 ambient ring with constant gamma^-1 and equals <(x - alpha^-1)^(a p^s - i)>.
 
-Codewords are coefficient words, i.e. tuples of p^s ring elements; the
-word set of a code is materialized literally as {f*g : f in R} so the
+A codeword is a raw word: a tuple of p^s raw coefficient tuples, one per
+coordinate, exactly as ideal_raw yields it and AmbientPoly.raw holds it.
+The word set of a code is materialized literally as {f*g : f in R} so the
 formula layer always has a brute-force counterpart to answer to.
+GrElement views of coordinates belong at the API edge only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .ambient_ring import AmbientParams, ideal_raw, _mul_raw
+from .ambient_ring import AmbientParams, PolyRaw, constacyclic_shift, ideal_raw, _mul_raw
 from .errors import (
     IndexOutOfRangeError,
     NotAUnitError,
@@ -26,12 +28,12 @@ from .errors import (
     WrongUnitTypeError,
     check_budget,
 )
-from .galois_ring import DEFAULT_ENUM_CAP, GrElement
+from .galois_ring import DEFAULT_ENUM_CAP, GrElement, Raw, RingContext
 from .unit_types import TYPE1, _teich_inverse, type1_inverse
 
 DEFAULT_DUAL_CAP = 1 << 16
 
-Word = tuple[GrElement, ...]
+Word = PolyRaw
 
 
 class ConstaCode:
@@ -87,9 +89,7 @@ def enumerate_codewords(
 ) -> frozenset[Word]:
     """All codewords, by materializing {f*g : f in R}."""
     check_budget("codeword enumeration", code.ambient.size, budget, DEFAULT_ENUM_CAP)
-    ctx = code.ambient.ctx
-    raws = ideal_raw(code.ambient, code.generator.raw)
-    return frozenset(tuple(GrElement(ctx, c) for c in raw) for raw in raws)
+    return ideal_raw(code.ambient, code.generator.raw)
 
 
 def dual_code(code: ConstaCode) -> ConstaCode:
@@ -101,14 +101,12 @@ def dual_code(code: ConstaCode) -> ConstaCode:
     return ConstaCode(dual_ambient, top - code.i)
 
 
-def word_dot(w1: Word, w2: Word) -> GrElement:
-    """Euclidean inner product of two words."""
-    if len(w1) != len(w2):
-        raise ParamsMismatchError("words of different lengths")
-    ctx = w1[0].ctx
-    acc = ctx.zero
-    for x, y in zip(w1, w2):
-        acc = acc + x * y
+def word_dot(ctx: RingContext, w1: Word, w2: Word) -> Raw:
+    """Euclidean inner product of two raw words."""
+    mul, add = ctx.mul_raw, ctx.add_raw
+    acc = ctx.zero.coeffs
+    for x, y in zip(w1, w2, strict=True):
+        acc = add(acc, mul(x, y))
     return acc
 
 
@@ -120,19 +118,14 @@ def brute_force_dual(
     ambient = code.ambient
     check_budget("brute-force dual scan", ambient.size, budget, DEFAULT_DUAL_CAP)
     ctx = ambient.ctx
-    mul, add = ctx.mul_raw, ctx.add_raw
-    zero = ctx.zero.coeffs
-    cw = [raw for raw in ideal_raw(ambient, code.generator.raw)]
+    words = enumerate_codewords(code, budget)
     out = []
     for w in ambient.iter_raw():
-        for c in cw:
-            acc = zero
-            for x, y in zip(w, c):
-                acc = add(acc, mul(x, y))
-            if any(acc):
+        for c in words:
+            if any(word_dot(ctx, w, c)):
                 break
         else:
-            out.append(tuple(GrElement(ctx, v) for v in w))
+            out.append(w)
     return frozenset(out)
 
 
@@ -140,26 +133,18 @@ def dual_spot_check(code: ConstaCode, trials: int = 1000, seed: int = 0) -> bool
     """Pair random codewords of C and of its formula dual and test
     orthogonality, for rings too large to scan exhaustively."""
     dual = dual_code(code)
-    ambient, dual_ambient = code.ambient, dual.ambient
-    ctx = ambient.ctx
+    ctx = code.ambient.ctx
     rng = random.Random(seed)
-    q, m, n = ctx.q, ctx.params.m, ambient.n
+    q, m, n = ctx.q, ctx.params.m, code.ambient.n
 
-    def random_multiple(params: AmbientParams, gen_raw) -> tuple:
+    def random_word(c: ConstaCode) -> Word:
         f = tuple(
             tuple(rng.randrange(q) for _ in range(m)) for _ in range(n)
         )
-        return _mul_raw(params, f, gen_raw)
+        return _mul_raw(c.ambient, f, c.generator.raw)
 
-    zero = ctx.zero.coeffs
-    mul, add = ctx.mul_raw, ctx.add_raw
     for _ in range(trials):
-        c = random_multiple(ambient, code.generator.raw)
-        d = random_multiple(dual_ambient, dual.generator.raw)
-        acc = zero
-        for x, y in zip(c, d):
-            acc = add(acc, mul(x, y))
-        if any(acc):
+        if any(word_dot(ctx, random_word(code), random_word(dual))):
             return False
     return True
 
@@ -207,17 +192,12 @@ def is_gamma2_constacyclic(
         raise ParamsMismatchError("gamma2 from a different context")
     if not gamma2.is_unit:
         raise NotAUnitError("shift constant must be a unit")
-    check_budget("shift-closure scan", code.ambient.size, budget, DEFAULT_ENUM_CAP)
-    raws = ideal_raw(code.ambient, code.generator.raw)
-    mul = ctx.mul_raw
-    g2 = gamma2.coeffs
-    for w in raws:
-        shifted = (mul(g2, w[-1]),) + w[:-1]
-        if shifted not in raws:
-            return False
-    return True
+    words = enumerate_codewords(code, budget)
+    return all(constacyclic_shift(w, gamma2) in words for w in words)
 
 
 def sort_words(words: Iterable[Word]) -> list[Word]:
-    """Deterministic word order for serialization."""
-    return sorted(words, key=lambda w: tuple(el.to_int() for el in w))
+    """Words in the order of their coordinates' integer encodings
+    sum(c_j * (p^a)^j), which compare like the coefficient tuples read
+    from the top coefficient down."""
+    return sorted(words, key=lambda w: tuple(c[::-1] for c in w))

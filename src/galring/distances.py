@@ -10,12 +10,12 @@ brute-force counterpart that scans codewords directly.
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar, Iterator
 
 from .constacodes import ConstaCode, Word, enumerate_codewords
 from .errors import CharacteristicTooSmallError, IndexOutOfRangeError
-from .galois_ring import GrElement
+from .galois_ring import GrElement, RingContext
 
 HAMMING = "hamming"
 HOMOGENEOUS = "homogeneous"
@@ -24,30 +24,32 @@ Band = tuple[int, int, int]  # (lo, hi, distance), inclusive bounds
 
 
 def hamming_weight(word: Word) -> int:
-    return sum(1 for el in word if not el.is_zero)
+    return sum(1 for c in word if any(c))
 
 
 def homogeneous_weight(x: GrElement) -> int:
-    """Homogeneous weight on GR(p^a, m), defined for a >= 2.
+    """Homogeneous weight of one element of GR(p^a, m)."""
+    return homogeneous_word_weight(x.ctx, (x.coeffs,))
+
+
+def homogeneous_word_weight(ctx: RingContext, word: Word) -> int:
+    """Homogeneous weight on GR(p^a, m), defined for a >= 2, summed over
+    the coordinates of a raw word.
 
     Zero weighs 0; nonzero elements of p^(a-1) GR weigh p^(m(a-1));
     everything else weighs (p^m - 1) p^(m(a-2)).
     """
-    p, a, m = x.ctx.params.p, x.ctx.params.a, x.ctx.params.m
+    p, a, m = ctx.params.p, ctx.params.a, ctx.params.m
     if a < 2:
         raise CharacteristicTooSmallError(
             "homogeneous weight needs a >= 2"
         )
-    if x.is_zero:
-        return 0
     top = p ** (a - 1)
-    if all(c % top == 0 for c in x.coeffs):
-        return p ** (m * (a - 1))
-    return (p**m - 1) * p ** (m * (a - 2))
-
-
-def homogeneous_word_weight(word: Word) -> int:
-    return sum(homogeneous_weight(el) for el in word)
+    w_top = p ** (m * (a - 1))
+    w_free = (p**m - 1) * p ** (m * (a - 2))
+    return sum(
+        w_top if all(v % top == 0 for v in c) else w_free for c in word if any(c)
+    )
 
 
 def _assert_partition(bands: tuple[Band, ...], top: int) -> tuple[Band, ...]:
@@ -125,16 +127,11 @@ def brute_force_min_weight(
     code: ConstaCode, kind: str = HAMMING, budget: int | None = None
 ) -> int:
     """Minimum weight over all nonzero codewords; 0 for the zero code."""
-    weigh = {HAMMING: hamming_weight, HOMOGENEOUS: homogeneous_word_weight}[kind]
+    ctx = code.ambient.ctx
+    weigh = {HAMMING: hamming_weight, HOMOGENEOUS: partial(homogeneous_word_weight, ctx)}[kind]
+    zero = code.ambient.zero().raw
     words = enumerate_codewords(code, budget=budget)
-    best = None
-    for w in words:
-        if all(el.is_zero for el in w):
-            continue
-        wt = weigh(w)
-        if best is None or wt < best:
-            best = wt
-    return 0 if best is None else best
+    return min((weigh(w) for w in words if w != zero), default=0)
 
 
 @dataclass(frozen=True)

@@ -364,9 +364,11 @@ class RingContext:
     def from_int(self, v: int) -> GrElement:
         """Inverse of GrElement.to_int: base-q digits become coefficients.
 
-        Only the encodings 0 <= v < q^m are accepted; use const() for an
-        integer constant.
+        Only the int encodings 0 <= v < q^m are accepted; use const() for
+        an integer constant.
         """
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"encoding must be an int, got {v!r}")
         if not 0 <= v < self.size:
             raise ValueError(f"encoding {v} outside [0, {self.size}) for {self!r}")
         return GrElement(self, _int_digits(v, self.q, self.params.m))

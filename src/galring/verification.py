@@ -61,14 +61,14 @@ CHAIN_SUITE = (
 )
 # Nilpotency is formula-cheap, so GR(9,1)/s=2 can come back in.
 NILPOTENCY_SUITE = CHAIN_SUITE + ((3, 2, 1, 2),)
-# Duality scans the full ambient module; keep |R|^(p^s) <= 2^16.
+# Duality and self-duality scan the full ambient module; keep |R| <= 2^16.
 DUALITY_SUITE = (
     (2, 2, 1, 1),
     (2, 2, 1, 2),
     (2, 3, 1, 1),
     (3, 2, 1, 1),
+    (2, 2, 2, 1),
 )
-SELF_DUALITY_SUITE = DUALITY_SUITE + ((2, 2, 2, 1),)
 UNIT_ALGEBRA_RINGS = ((2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2))
 
 
@@ -237,7 +237,7 @@ def check_self_duality() -> CheckResult:
     """Threshold decisions vs the C subset-of C-dual oracle, and the
     self-dual inventory for the pinned rings."""
     bad = []
-    for row in SELF_DUALITY_SUITE:
+    for row in DUALITY_SUITE:
         for amb in _type1_ambients(*row):
             bad += _self_duality_mismatches(amb)
 
@@ -248,13 +248,10 @@ def check_self_duality() -> CheckResult:
     if [c.i for c in sd] != [4]:
         bad.append("Z4 s=2 gamma=3 self-dual list")
     else:
-        words = enumerate_codewords(sd[0])
         doubles = frozenset(
-            w
-            for w in (f.to_word() for f in amb.iter_elements())
-            if all(el.to_int() % 2 == 0 for el in w)
+            w for w in amb.iter_raw() if all(v % 2 == 0 for c in w for v in c)
         )
-        if words != doubles:
+        if enumerate_codewords(sd[0]) != doubles:
             bad.append("Z4 s=2 self-dual code is not <2>")
 
     # Z27/s=1: a*p = 9 odd, so no self-dual code exists for any Type1 gamma.
@@ -384,6 +381,10 @@ def run_default_verification() -> list[CheckResult]:
     return [check() for check in ALL_CHECKS]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class SweepConfig:
     """A configured verification sweep: which rings, which constants,
@@ -396,29 +397,43 @@ class SweepConfig:
     output: str | None = None
 
     def __post_init__(self):
-        for row in self.rings:
-            if len(row) != 4:
-                raise ValueError(f"ring row must be (p, a, m, s): {row!r}")
-            p, a, m, s = row
+        # JSON configs can carry strings, floats and booleans anywhere, so
+        # every number must be a plain int before it reaches the ring code
+        rows = self.rings
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and len(row) == 4 and all(map(_is_int, row))
+            for row in rows
+        ):
+            raise ValueError(f"rings must be a list of integer (p, a, m, s) rows: {rows!r}")
+        self.rings = [tuple(row) for row in rows]
+        for p, a, m, s in self.rings:
             RingParams(p, a, m).validate()
             if s < 1:
                 raise ValueError(f"s must be >= 1, got {s}")
         if isinstance(self.gammas, str):
             if self.gammas not in ("all-units", "all-type1"):
                 raise ValueError(f"unknown gamma selection {self.gammas!r}")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
+        elif not isinstance(self.gammas, (list, tuple)) or not all(
+            map(_is_int, self.gammas)
+        ):
+            raise ValueError(f"gammas must be integer encodings: {self.gammas!r}")
+        if self.budget is not None and not (_is_int(self.budget) and self.budget > 0):
+            raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a file name, got {self.output!r}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         if "rings" not in data:
             raise ValueError("config must list rings")
-        return cls(**dict(data, rings=[tuple(row) for row in data["rings"]]))
+        return cls(**data)
 
 
 def _selected_gammas(ctx, selection) -> list[GrElement]:

@@ -1,10 +1,23 @@
 """End-to-end command-line behavior, output schemas, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from galring.cli import main
+
+DATA = Path(__file__).parent / "data"
+GR42_S1 = ("-p", "2", "-a", "2", "-m", "2", "-s", "1", "--gamma", "0,3")
+Z4_S2 = ("-p", "2", "-a", "2", "-m", "1", "-s", "2", "--gamma", "3")
+# recorded outputs; the GR(4,2) words pin the integer-encoding word order
+GOLDEN = (
+    ("code_gr42_s1_i1", ("code", *GR42_S1, "-i", "1", "--words")),
+    ("dual_gr42_s1_i3", ("dual", *GR42_S1, "-i", "3", "--words")),
+    ("code_z4_s2_i5", ("code", *Z4_S2, "-i", "5", "--words")),
+    ("dual_z4_s2_i5", ("dual", *Z4_S2, "-i", "5", "--words")),
+    ("distances_gr42_s1", ("distances", *GR42_S1, "--oracle")),
+)
 
 
 def run(capsys, *argv):
@@ -269,3 +282,43 @@ def test_bad_budget_flag_exits_1(capsys, tmp_path):
     cfg.write_text(json.dumps({"rings": [[2, 2, 1, 1]]}))
     code, out, err = run(capsys, "verify", "--config", str(cfg), "--budget", "-5")
     assert code == 1 and out == "" and "--budget" in err
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(capsys, name, argv, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (DATA / f"{name}.{fmt}").read_text()
+
+
+def test_verify_budget_needs_config(capsys):
+    # the default suite always runs at the default caps
+    code, out, err = run(capsys, "verify", "--budget", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--config" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    (
+        pytest.param({"rings": [[2, 2, 1, 1]], "budget": "100"}, id="budget-str"),
+        pytest.param({"rings": [[2, 2, 1, 1]], "budget": True}, id="budget-bool"),
+        pytest.param({"rings": [["2", 2, 1, 1]]}, id="ring-str"),
+        pytest.param({"rings": [[2, 2, 1.0, 1]]}, id="ring-float"),
+        pytest.param({"rings": [[2, 2, 1]]}, id="ring-short"),
+        pytest.param({"rings": 5}, id="rings-int"),
+        pytest.param({"rings": [[2, 2, 1, 1]], "gammas": [3.0]}, id="gamma-float"),
+        pytest.param({"rings": [[2, 2, 1, 1]], "gammas": 3}, id="gammas-int"),
+        pytest.param({"rings": [[2, 2, 1, 1]], "output": 5}, id="output-int"),
+        pytest.param([[2, 2, 1, 1]], id="not-an-object"),
+    ),
+)
+def test_verify_config_wrong_types_exit_1(capsys, tmp_path, config):
+    # configs are JSON: strings, floats and booleans are rejected, not
+    # coerced or passed on to the ring arithmetic or to open()
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")

@@ -49,16 +49,11 @@ def test_type1_required(z4):
 
 def test_codeword_sets_frozen(neg4, z4):
     words = enumerate_codewords(build_code(neg4, 7))
-    ints = sorted(tuple(el.to_int() for el in w) for w in words)
-    assert ints == [(0, 0, 0, 0), (2, 2, 2, 2)]
+    assert sorted(words) == [((0,), (0,), (0,), (0,)), ((2,), (2,), (2,), (2,))]
     # i = 4 is the code <2>: exactly the words with every entry even
     words4 = enumerate_codewords(build_code(neg4, 4))
     assert len(words4) == 16
-    evens = {
-        w
-        for w in (f.to_word() for f in neg4.iter_elements())
-        if all(el.to_int() % 2 == 0 for el in w)
-    }
+    evens = {w for w in neg4.iter_raw() if all(c[0] % 2 == 0 for c in w)}
     assert words4 == evens
     # zero code and full code
     assert len(enumerate_codewords(build_code(neg4, 8))) == 1
@@ -115,7 +110,7 @@ def test_word_dot_and_orthogonality(neg4, z4):
     dual = dual_code(code)
     for c in enumerate_codewords(code):
         for d in enumerate_codewords(dual):
-            assert word_dot(c, d) == z4.zero
+            assert word_dot(z4, c, d) == z4.zero.coeffs
     assert dual_spot_check(code, trials=100)
 
 
@@ -229,10 +224,9 @@ def test_code_json_and_sorting(neg4):
         "i": 7,
         "cardinality": 2,
     }
-    words = sort_words(enumerate_codewords(code))
-    assert [tuple(el.to_int() for el in w) for w in words] == [
-        (0, 0, 0, 0),
-        (2, 2, 2, 2),
+    assert sort_words(enumerate_codewords(code)) == [
+        ((0,), (0,), (0,), (0,)),
+        ((2,), (2,), (2,), (2,)),
     ]
 
 

@@ -272,7 +272,8 @@ def test_int_operands_are_constants(gr42):
 
 def test_from_int_rejects_out_of_range(z4, gr42):
     assert gr42.from_int(15).coeffs == (3, 3)
-    for ctx, v in ((z4, 4), (z4, -1), (gr42, 16)):
+    # non-int encodings too: a float would otherwise become float coefficients
+    for ctx, v in ((z4, 4), (z4, -1), (gr42, 16), (z4, 3.0), (z4, "3"), (z4, True)):
         with pytest.raises(ValueError):
             ctx.from_int(v)
 

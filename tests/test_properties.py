@@ -1,4 +1,5 @@
-"""Property tests for element arithmetic on rings with m >= 2 or a = 1.
+"""Property tests for element arithmetic, and for the raw codeword
+helpers, on rings with m >= 2 or a = 1.
 
 The other suites lean on Z_{p^a} (m = 1); these rings exercise the
 reduction modulo h and the residue-field case.  Examples are drawn with
@@ -8,7 +9,17 @@ a fixed seed, so every run checks the same cases.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galring import RingContext, invert, ring
+from galring import (
+    AmbientParams,
+    RingContext,
+    constacyclic_shift,
+    homogeneous_weight,
+    homogeneous_word_weight,
+    invert,
+    ring,
+    sort_words,
+    word_dot,
+)
 
 # (p, a, m): GR(2,2), GR(2,3), GR(9,1)'s residue field GR(3,2), GR(4,2),
 # GR(9,2) and GR(8,2)
@@ -83,3 +94,53 @@ def test_invert_units(case):
     ctx, (u,) = case
     assume(u.is_unit)
     assert invert(u) * u == ctx.one
+
+
+# raw codewords over GR(2,2) (a = 1), GR(4,2) and GR(9,2)
+WORD_RINGS = ((2, 1, 2), (2, 2, 2), (3, 2, 2))
+
+
+@st.composite
+def raw_words(draw, rings, count):
+    """A ring from `rings` and `count` raw words of length p over it."""
+    ctx = ring(*draw(st.sampled_from(rings)))
+    coeff = st.integers(0, ctx.q - 1)
+    raw = st.tuples(*[coeff] * ctx.params.m)
+    word = st.tuples(*[raw] * ctx.params.p)
+    return ctx, [draw(word) for _ in range(count)]
+
+
+@PROPERTY
+@given(raw_words(WORD_RINGS, 2))
+def test_word_dot_is_sum_of_products(case):
+    ctx, (w1, w2) = case
+    expect = ctx.zero
+    for x, y in zip(w1, w2):
+        expect = expect + ctx.element(x) * ctx.element(y)
+    assert word_dot(ctx, w1, w2) == expect.coeffs
+
+
+@PROPERTY
+@given(raw_words(WORD_RINGS[1:], 1))
+def test_homogeneous_word_weight_is_sum(case):
+    ctx, (w,) = case
+    expect = sum(homogeneous_weight(ctx.element(c)) for c in w)
+    assert homogeneous_word_weight(ctx, w) == expect
+
+
+@PROPERTY
+@given(raw_words(WORD_RINGS, 6))
+def test_sort_words_follows_integer_encoding(case):
+    ctx, words = case
+    ints = [[ctx.element(c).to_int() for c in w] for w in sort_words(words)]
+    assert ints == sorted(ints)
+
+
+@PROPERTY
+@given(raw_words(WORD_RINGS, 1), st.data())
+def test_shift_is_multiplication_by_x(case, data):
+    ctx, (w,) = case
+    gamma = data.draw(st.sampled_from(list(ctx.iter_units())))
+    amb = AmbientParams(ctx, 1, gamma)
+    f = amb.from_raw(w)
+    assert constacyclic_shift(f.raw, gamma) == (amb.monomial(1) * f).raw
