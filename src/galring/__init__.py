@@ -42,6 +42,7 @@ from .distances import (
     homogeneous_distance_formula,
     homogeneous_weight,
     homogeneous_word_weight,
+    min_weight,
 )
 from .errors import (
     BudgetExceededError,

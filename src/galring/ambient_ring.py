@@ -16,6 +16,14 @@ verify_chain_structure is the exhaustive oracle of the package: it
 materializes every principal ideal of R as a literal set {f*g : f in R},
 checks whether the distinct ideals form a single inclusion chain, and
 compares them against the tower generated by powers of x - alpha.
+
+Each literal set still visits every f of R, but f*g is not a schoolbook
+product per f.  Multiplication by g is Z_{p^a}-linear in f, so f*g is
+the sum of f's coefficients times the n*m products (u^j x^k)*g, which
+are the only schoolbook products taken.  The sums run on packed words
+(one int per word, one bit field per coefficient), where one integer
+addition and a carry correction add two words modulo p^a.  Single
+products, such as powers and generators, use the schoolbook _mul_raw.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ DEFAULT_CHAIN_BUDGET = 1 << 16
 class AmbientParams:
     """Immutable description of one ambient ring R = GR[x]/<x^n - gamma>."""
 
-    __slots__ = ("ctx", "s", "gamma", "n", "key", "_gamma_class", "_alpha")
+    __slots__ = ("ctx", "s", "gamma", "n", "key", "_gamma_class", "_alpha", "_packing")
 
     def __init__(self, ctx: RingContext, s: int, gamma: GrElement):
         if s < 1:
@@ -57,6 +65,7 @@ class AmbientParams:
         self.key = (ctx.key, s, gamma.coeffs)
         self._gamma_class: UnitClass | None = None
         self._alpha: GrElement | None = None
+        self._packing: _Packing | None = None  # built on first use
 
     @property
     def gamma_class(self) -> UnitClass:
@@ -281,11 +290,79 @@ def nilpotency_index(f: AmbientPoly, cap: int | None = None) -> int | None:
     return None
 
 
-def ideal_raw(params: AmbientParams, g: PolyRaw, elements: list[PolyRaw] | None = None) -> frozenset:
-    """The principal ideal <g> materialized as {f*g : f in R}."""
-    if elements is None:
-        elements = list(params.iter_raw())
-    return frozenset(_mul_raw(params, f, g) for f in elements)
+class _Packing:
+    """The packed word format of one ambient ring.
+
+    Coefficient j of coordinate k of a raw word sits in bit field k*m + j
+    of one int.  A field is b = q.bit_length() + 1 bits wide, so the sum
+    of two reduced coefficients (below 2q <= 2^b) never carries into the
+    next field, and adding 2^(b-1) - q to a field sets its top bit
+    exactly when the sum is at least q.
+    """
+
+    __slots__ = ("q", "m", "fields", "width", "mask", "ones", "bias")
+
+    def __init__(self, q: int, n: int, m: int):
+        self.q, self.m, self.fields = q, m, n * m
+        self.width = q.bit_length() + 1
+        self.mask = (1 << self.width) - 1
+        self.ones = sum(1 << (self.width * i) for i in range(self.fields))
+        self.bias = ((1 << (self.width - 1)) - q) * self.ones
+
+    def pack(self, word: PolyRaw) -> int:
+        width = self.width
+        coeffs = itertools.chain.from_iterable(word)
+        return sum(v << (width * i) for i, v in enumerate(coeffs))
+
+    def unpack(self, packed: int) -> PolyRaw:
+        width, mask, m = self.width, self.mask, self.m
+        coeffs = [(packed >> (width * i)) & mask for i in range(self.fields)]
+        return tuple(tuple(coeffs[i : i + m]) for i in range(0, self.fields, m))
+
+    def sums(self, xs: list[int], ys: list[int]) -> list[int]:
+        """[x + y for x in xs for y in ys], each field reduced modulo q."""
+        q, bias, ones, top = self.q, self.bias, self.ones, self.width - 1
+        return [(t := x + y) - q * (((t + bias) >> top) & ones) for x in xs for y in ys]
+
+
+def _packing(params: AmbientParams) -> _Packing:
+    if params._packing is None:
+        params._packing = _Packing(params.ctx.q, params.n, params.ctx.params.m)
+    return params._packing
+
+
+def _packed_products(params: AmbientParams, g: PolyRaw) -> list[int]:
+    """f*g as a packed word for every f of R, in iter_raw order.
+
+    f*g is the sum over k, j of f[k][j] * (u^j x^k)*g.  Starting from the
+    list [0], each coefficient of f, slowest first, replaces every listed
+    word w by w + c*image for c = 0, .., q-1, where image is the schoolbook
+    product of its basis monomial with g: one packed addition per word.
+    """
+    pk = _packing(params)
+    ctx = params.ctx
+    zero, m = ctx.zero.coeffs, ctx.params.m
+    words = [0]
+    for k in range(params.n):
+        for j in range(m):
+            e_j = zero[:j] + (1,) + zero[j + 1 :]
+            monomial = (zero,) * k + (e_j,) + (zero,) * (params.n - k - 1)
+            image = [pk.pack(_mul_raw(params, monomial, g))]
+            multiples = [0]
+            for _ in range(ctx.q - 1):
+                multiples += pk.sums(multiples[-1:], image)
+            words = pk.sums(words, multiples)
+    return words
+
+
+def ideal_raw(params: AmbientParams, g: PolyRaw) -> frozenset:
+    """The principal ideal <g> materialized as the literal set {f*g : f in R}.
+
+    Every f of R is visited: f*g is built by linearity from n*m schoolbook
+    basis products (see _packed_products), and the distinct packed words
+    are unpacked into raw words.
+    """
+    return frozenset(map(_packing(params).unpack, set(_packed_products(params, g))))
 
 
 @dataclass
@@ -318,26 +395,33 @@ def verify_chain_structure(
 
     Generators are grouped into unit-multiple orbits: <u*g> = <g> for any
     unit u, so materializing one representative per orbit still covers
-    {<g> : g in R} completely.  The report records whether the distinct
-    ideals are totally ordered by inclusion, whether they coincide with
-    the tower <(x - alpha)^i> when a chain is expected, and whether the
-    set of non-units (the unique maximal ideal) is itself principal.
+    {<g> : g in R} completely.  Each ideal is the literal set of f*g over
+    every f of R, built by linearity from n*m schoolbook basis products
+    and kept as a set of packed words; the unit multiples of g are read
+    off the same list, at the positions of the units of R.  The report
+    records whether the distinct ideals are totally ordered by inclusion,
+    whether they coincide with the tower <(x - alpha)^i> when a chain is
+    expected, and whether the set of non-units (the unique maximal ideal)
+    is itself principal.
     """
     check_budget("principal ideal survey", params.size, budget, DEFAULT_CHAIN_BUDGET)
     ctx = params.ctx
-    elements = list(params.iter_raw())
-    unit_flags = [_eval_at_alpha_is_unit(params, f) for f in elements]
-    units = list(itertools.compress(elements, unit_flags))
+    pk = _packing(params)
+    unit_flags = [_eval_at_alpha_is_unit(params, f) for f in params.iter_raw()]
+    elements = _packed_products(params, params.one().raw)
     nonunits = frozenset(f for f, u in zip(elements, unit_flags) if not u)
 
+    def ideal(g: PolyRaw) -> frozenset[int]:
+        return frozenset(_packed_products(params, g))
+
     ideals: set[frozenset] = set()
-    assigned: set[PolyRaw] = set()
+    assigned: set[int] = set()
     for g in elements:
         if g in assigned:
             continue
-        ideals.add(ideal_raw(params, g, elements))
-        for u in units:
-            assigned.add(_mul_raw(params, u, g))
+        images = _packed_products(params, pk.unpack(g))
+        ideals.add(frozenset(images))
+        assigned.update(itertools.compress(images, unit_flags))
 
     by_size = sorted(ideals, key=len, reverse=True)
     is_chain = True
@@ -350,10 +434,8 @@ def verify_chain_structure(
 
     x_alpha = params.x_minus(params.alpha).raw
     p_const = params.constant(ctx.params.p).raw
-    ideal_x_alpha = ideal_raw(params, x_alpha, elements)
-    ideal_p = ideal_raw(params, p_const, elements)
-    p_in_x_alpha = p_const in ideal_x_alpha
-    x_alpha_in_p = x_alpha in ideal_p
+    p_in_x_alpha = pk.pack(p_const) in ideal(x_alpha)
+    x_alpha_in_p = pk.pack(x_alpha) in ideal(p_const)
 
     a = ctx.params.a
     expect_chain = a == 1 or params.gamma_class.variant == TYPE1
@@ -362,7 +444,7 @@ def verify_chain_structure(
         tower: set[frozenset] = set()
         gpow = params.one().raw
         for _ in range(a * params.n + 1):
-            tower.add(ideal_raw(params, gpow, elements))
+            tower.add(ideal(gpow))
             gpow = _mul_raw(params, gpow, x_alpha)
         tower_match = tower == ideals
 

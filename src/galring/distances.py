@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache, partial
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .constacodes import ConstaCode, Word, enumerate_codewords
 from .errors import CharacteristicTooSmallError, IndexOutOfRangeError
@@ -123,15 +123,18 @@ def homogeneous_distance_formula(a: int, p: int, m: int, s: int, i: int) -> int:
     return _lookup(_homogeneous_bands(a, p, m, s), i)
 
 
+def min_weight(ctx: RingContext, words: Iterable[Word], kind: str = HAMMING) -> int:
+    """Minimum weight over the nonzero words of a word set; 0 if there are
+    none.  Only the zero word weighs 0, under either weight."""
+    weigh = {HAMMING: hamming_weight, HOMOGENEOUS: partial(homogeneous_word_weight, ctx)}[kind]
+    return min(filter(None, map(weigh, words)), default=0)
+
+
 def brute_force_min_weight(
     code: ConstaCode, kind: str = HAMMING, budget: int | None = None
 ) -> int:
     """Minimum weight over all nonzero codewords; 0 for the zero code."""
-    ctx = code.ambient.ctx
-    weigh = {HAMMING: hamming_weight, HOMOGENEOUS: partial(homogeneous_word_weight, ctx)}[kind]
-    zero = code.ambient.zero().raw
-    words = enumerate_codewords(code, budget=budget)
-    return min((weigh(w) for w in words if w != zero), default=0)
+    return min_weight(code.ambient.ctx, enumerate_codewords(code, budget=budget), kind)
 
 
 @dataclass(frozen=True)
@@ -183,9 +186,10 @@ def distance_table(
         d_hom = homogeneous_distance_formula(a, p, m, s, i) if a >= 2 else None
         ham_oracle = hom_oracle = None
         if with_oracle:
-            ham_oracle = brute_force_min_weight(code, HAMMING, budget)
+            words = enumerate_codewords(code, budget)
+            ham_oracle = min_weight(ambient.ctx, words, HAMMING)
             if a >= 2:
-                hom_oracle = brute_force_min_weight(code, HOMOGENEOUS, budget)
+                hom_oracle = min_weight(ambient.ctx, words, HOMOGENEOUS)
         rows.append(
             DistanceRow(
                 p=p,

@@ -34,9 +34,9 @@ from .constacodes import (
 from .distances import (
     HAMMING,
     HOMOGENEOUS,
-    brute_force_min_weight,
     hamming_distance_formula,
     homogeneous_distance_formula,
+    min_weight,
 )
 from .errors import BudgetExceededError, GalringError
 from .galois_ring import GrElement, RingParams, invert, ring
@@ -121,17 +121,19 @@ def _distance_mismatches(
     amb: AmbientParams, kinds: tuple[str, ...], budget: int | None = None
 ) -> list[str]:
     """Distance formula vs exhaustive minimum weight, for each kind and
-    every exponent i of a Type1 ambient; one entry per disagreement."""
+    every exponent i of a Type1 ambient; one entry per disagreement.
+    Each code's word set is enumerated once and weighed for every kind."""
     p, a, m = amb.ctx.params.p, amb.ctx.params.a, amb.ctx.params.m
     s = amb.s
     bad = []
     for code in _codes(amb):
+        words = enumerate_codewords(code, budget)
         for kind in kinds:
             if kind == HAMMING:
                 formula = hamming_distance_formula(a, p, s, code.i)
             else:
                 formula = homogeneous_distance_formula(a, p, m, s, code.i)
-            oracle = brute_force_min_weight(code, kind, budget)
+            oracle = min_weight(amb.ctx, words, kind)
             if formula != oracle:
                 bad.append(
                     f"GR({p}^{a},{m}) s={s} gamma={amb.gamma.to_int()}"

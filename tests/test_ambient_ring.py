@@ -19,7 +19,9 @@ from galring import (
     solve_alpha,
     verify_chain_structure,
 )
+from galring.ambient_ring import _mul_raw, _packed_products, _packing
 from galring.unit_types import classify_unit
+from galring.verification import CHAIN_SUITE, DUALITY_SUITE
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +182,30 @@ def test_p_is_zero_when_a_is_1():
     assert amb.constant(2).is_zero
     rep = verify_chain_structure(amb)
     assert rep.p_in_x_alpha and not rep.x_alpha_in_p
+
+
+# every chain and duality suite ring, plus the a = 1 rings GR(2,2),
+# GR(3,2) and the m = 3 ring GR(2,3)
+CROSS_CHECK_RINGS = sorted(set(CHAIN_SUITE) | set(DUALITY_SUITE)) + [
+    (2, 1, 2, 1),
+    (3, 1, 2, 1),
+    (2, 1, 3, 1),
+]
+
+
+@pytest.mark.parametrize("p, a, m, s", CROSS_CHECK_RINGS)
+def test_packed_products_match_schoolbook(p, a, m, s):
+    # the products built by linearity, in iter_raw order, against one
+    # schoolbook product per element of R
+    ctx = ring(p, a, m)
+    units = list(ctx.iter_units())
+    for gamma in (units[0], units[-1]):
+        amb = AmbientParams(ctx, s, gamma)
+        x_alpha = amb.x_minus(amb.alpha)
+        unit = amb.one() + x_alpha
+        assert is_unit(unit)
+        unpack = _packing(amb).unpack
+        for g in (amb.zero(), unit, amb.constant(p), x_alpha, x_alpha ** amb.n):
+            expect = [_mul_raw(amb, f, g.raw) for f in amb.iter_raw()]
+            assert [unpack(w) for w in _packed_products(amb, g.raw)] == expect
+            assert ideal_raw(amb, g.raw) == frozenset(expect)

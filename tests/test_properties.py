@@ -20,6 +20,7 @@ from galring import (
     sort_words,
     word_dot,
 )
+from galring.ambient_ring import _Packing
 
 # (p, a, m): GR(2,2), GR(2,3), GR(9,1)'s residue field GR(3,2), GR(4,2),
 # GR(9,2) and GR(8,2)
@@ -144,3 +145,39 @@ def test_shift_is_multiplication_by_x(case, data):
     amb = AmbientParams(ctx, 1, gamma)
     f = amb.from_raw(w)
     assert constacyclic_shift(f.raw, gamma) == (amb.monomial(1) * f).raw
+
+
+# q = 2, 4, 8, 9, 25 and 27; for odd p a field of q.bit_length() bits
+# overflows, while for q = 2^a it would still be wide enough
+PACK_RINGS = ((2, 1, 2), (2, 2, 2), (2, 3, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1))
+
+
+@st.composite
+def packed_words(draw, count):
+    """A ring from PACK_RINGS, the packing of its words of length n in
+    [1, 4], and `count` raw words of that length."""
+    ctx = ring(*draw(st.sampled_from(PACK_RINGS)))
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(0, ctx.q - 1)
+    word = st.tuples(*[st.tuples(*[coeff] * ctx.params.m)] * n)
+    return ctx, _Packing(ctx.q, n, ctx.params.m), [draw(word) for _ in range(count)]
+
+
+@PROPERTY
+@given(packed_words(1))
+def test_pack_roundtrip(case):
+    _, pk, (w,) = case
+    assert pk.unpack(pk.pack(w)) == w
+
+
+@PROPERTY
+@given(packed_words(3))
+def test_packed_sums_are_add_raw(case):
+    ctx, pk, (x0, x1, y) = case
+    q = ctx.q
+    # complements of x0 make field sums of exactly q and q - 1, the two
+    # sides of the reduction threshold
+    ys = [y] + [tuple(tuple((q - v - d) % q for v in c) for c in x0) for d in (0, 1)]
+    got = pk.sums([pk.pack(x0), pk.pack(x1)], [pk.pack(w) for w in ys])
+    expect = [tuple(map(ctx.add_raw, x, w)) for x in (x0, x1) for w in ys]
+    assert [pk.unpack(v) for v in got] == expect
