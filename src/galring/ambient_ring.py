@@ -17,19 +17,20 @@ materializes every principal ideal of R as a literal set {f*g : f in R},
 checks whether the distinct ideals form a single inclusion chain, and
 compares them against the tower generated by powers of x - alpha.
 
-Each literal set still visits every f of R, but f*g is not a schoolbook
-product per f.  Multiplication by g is Z_{p^a}-linear in f, so f*g is
-the sum of f's coefficients times the n*m products (u^j x^k)*g, which
-are the only schoolbook products taken.  The sums run on packed words
-(one int per word, one bit field per coefficient), where one integer
-addition and a carry correction add two words modulo p^a.  Single
-products, such as powers and generators, use the schoolbook _mul_raw.
+Every exhaustive scan of R (these ideals, the survey's unit flags and
+the brute-force dual of constacodes) lists L(f) for each f of R and a
+Z_{p^a}-linear map L in one engine, _packed_images: L(f) is the sum of
+f's coefficients times the images of the n*m basis words u^j x^k, the
+only images computed directly, on packed words (one int per word, one
+bit field per coefficient), where one integer addition and a carry
+correction add two words modulo p^a.  Single products use _mul_raw.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .errors import (
@@ -252,22 +253,21 @@ def solve_alpha(gamma_class: UnitClass, s: int) -> GrElement:
     return ctx.teich_exp(i)
 
 
-def _eval_at_alpha_is_unit(params: AmbientParams, f: PolyRaw) -> bool:
-    # f(alpha) modulo p is well defined on residue classes of R, and
-    # nonvanishing there characterizes the units of R.
+def _unit_witness(params: AmbientParams, f: PolyRaw) -> Raw:
+    # p^(a-1) * f(alpha), linear in f: f(alpha) modulo p is well defined on
+    # R and nonzero exactly for its units, and p^(a-1) kills exactly pGR.
     ctx = params.ctx
     alpha = params.alpha.coeffs
     mul, add = ctx.mul_raw, ctx.add_raw
     acc = ctx.zero.coeffs
     for c in reversed(f):
         acc = add(mul(acc, alpha), c)
-    p = ctx.params.p
-    return any(v % p for v in acc)
+    return tuple(v * ctx.params.p ** (ctx.params.a - 1) % ctx.q for v in acc)
 
 
 def is_unit(f: AmbientPoly) -> bool:
     """Whether f is invertible in its ambient ring."""
-    return _eval_at_alpha_is_unit(f.params, f.raw)
+    return any(_unit_witness(f.params, f.raw))
 
 
 def nilpotency_index(f: AmbientPoly, cap: int | None = None) -> int | None:
@@ -331,13 +331,12 @@ def _packing(params: AmbientParams) -> _Packing:
     return params._packing
 
 
-def _packed_products(params: AmbientParams, g: PolyRaw) -> list[int]:
-    """f*g as a packed word for every f of R, in iter_raw order.
-
-    f*g is the sum over k, j of f[k][j] * (u^j x^k)*g.  Starting from the
-    list [0], each coefficient of f, slowest first, replaces every listed
-    word w by w + c*image for c = 0, .., q-1, where image is the schoolbook
-    product of its basis monomial with g: one packed addition per word.
+def _packed_images(params: AmbientParams, image) -> list[int]:
+    """L(f) as a packed word for every f of R, in iter_raw order, where L
+    is Z_{p^a}-linear with L(e) = image(e), a word of at most n coordinates,
+    on each basis word e = u^j x^k.  Starting from the list [0], each
+    coefficient of f, slowest first, replaces every listed word w by
+    w + c*L(e) for c = 0, .., q-1: one packed addition per word.
     """
     pk = _packing(params)
     ctx = params.ctx
@@ -347,10 +346,10 @@ def _packed_products(params: AmbientParams, g: PolyRaw) -> list[int]:
         for j in range(m):
             e_j = zero[:j] + (1,) + zero[j + 1 :]
             monomial = (zero,) * k + (e_j,) + (zero,) * (params.n - k - 1)
-            image = [pk.pack(_mul_raw(params, monomial, g))]
+            packed = [pk.pack(image(monomial))]
             multiples = [0]
             for _ in range(ctx.q - 1):
-                multiples += pk.sums(multiples[-1:], image)
+                multiples += pk.sums(multiples[-1:], packed)
             words = pk.sums(words, multiples)
     return words
 
@@ -359,10 +358,11 @@ def ideal_raw(params: AmbientParams, g: PolyRaw) -> frozenset:
     """The principal ideal <g> materialized as the literal set {f*g : f in R}.
 
     Every f of R is visited: f*g is built by linearity from n*m schoolbook
-    basis products (see _packed_products), and the distinct packed words
+    basis products (see _packed_images), and the distinct packed words
     are unpacked into raw words.
     """
-    return frozenset(map(_packing(params).unpack, set(_packed_products(params, g))))
+    products = _packed_images(params, partial(_mul_raw, params, g))
+    return frozenset(map(_packing(params).unpack, set(products)))
 
 
 @dataclass
@@ -407,19 +407,19 @@ def verify_chain_structure(
     check_budget("principal ideal survey", params.size, budget, DEFAULT_CHAIN_BUDGET)
     ctx = params.ctx
     pk = _packing(params)
-    unit_flags = [_eval_at_alpha_is_unit(params, f) for f in params.iter_raw()]
-    elements = _packed_products(params, params.one().raw)
+    unit_flags = _packed_images(params, lambda e: (_unit_witness(params, e),))
+    elements = _packed_images(params, lambda e: e)
     nonunits = frozenset(f for f, u in zip(elements, unit_flags) if not u)
 
     def ideal(g: PolyRaw) -> frozenset[int]:
-        return frozenset(_packed_products(params, g))
+        return frozenset(_packed_images(params, partial(_mul_raw, params, g)))
 
     ideals: set[frozenset] = set()
     assigned: set[int] = set()
     for g in elements:
         if g in assigned:
             continue
-        images = _packed_products(params, pk.unpack(g))
+        images = _packed_images(params, partial(_mul_raw, params, pk.unpack(g)))
         ideals.add(frozenset(images))
         assigned.update(itertools.compress(images, unit_flags))
 
@@ -487,7 +487,7 @@ def freshman_congruence_check(
     if p == 2:
         if params.gamma_class.variant == TYPE1:
             half = tuple(exact_quotient(c, 2) for c in d_poly.raw)
-            return _eval_at_alpha_is_unit(params, half)
+            return any(_unit_witness(params, half))
         return True
     check_budget("freshman ideal membership", params.size, budget, DEFAULT_CHAIN_BUDGET)
     gen = x_plus_b.scale(p)

@@ -4,7 +4,7 @@ verification sweeps.
 
 All output is deterministic: JSON is emitted with sorted keys and no
 timestamps, CSV rows follow the documented column orders.  Exit codes:
-0 success, 1 validation error, 2 budget exceeded, 3 verification
+0 success, 1 validation or usage error, 2 budget exceeded, 3 verification
 failure.
 """
 
@@ -50,8 +50,7 @@ def _parse_element(ctx: RingContext, text: str) -> GrElement:
 def _budget(args) -> int | None:
     """The --budget flag, else GALRING_BUDGET, else None (each oracle's
     default).  Either source must be a positive integer; the flag is
-    parsed here rather than by argparse, whose errors exit with 2, the
-    budget-exceeded code."""
+    parsed here, not by argparse, so that both are checked alike."""
     text, source = getattr(args, "budget", None), "--budget"
     if text is None:
         text, source = os.environ.get(ENV_BUDGET), ENV_BUDGET
@@ -185,6 +184,8 @@ def cmd_verify(args) -> int:
     else:
         results = run_default_verification()
         output, fmt = None, "json"
+    if not results:
+        raise ValueError("the sweep selects no (ring, gamma) pair")
     for r in results:
         print(r.line())
     if output is not None:
@@ -197,8 +198,17 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with 1, the validation
+    error code; argparse's own 2 is the budget-exceeded code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galring",
         description="Constacyclic codes of length p^s over Galois rings.",
     )
@@ -214,8 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-s", type=int, required=True, help="length exponent")
         sp.add_argument("--gamma", required=True, help="constacyclic constant")
 
-    def output_flags(sp):
+    def format_flag(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def budget_flag(sp):
         sp.add_argument("--budget", default=None, help="cap on the elements an oracle scans")
 
     sp = sub.add_parser("ring-info", help="print ring construction data")
@@ -236,23 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
         ambient_flags(sp)
         sp.add_argument("-i", type=int, required=True, help="generator exponent")
         sp.add_argument("--words", action="store_true", help="enumerate codewords")
-        output_flags(sp)
+        format_flag(sp)
+        budget_flag(sp)
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("distances", help="distance table for one constant")
     ambient_flags(sp)
     sp.add_argument("--oracle", action="store_true", help="run the brute-force minimum")
-    output_flags(sp)
+    format_flag(sp)
+    budget_flag(sp)
     sp.set_defaults(func=cmd_distances)
 
     sp = sub.add_parser("selfdual", help="list self-dual codes")
     ambient_flags(sp)
-    output_flags(sp)
+    format_flag(sp)
     sp.set_defaults(func=cmd_selfdual)
 
     sp = sub.add_parser("verify", help="run formula-vs-oracle verification")
     sp.add_argument("--config", default=None, help="JSON sweep configuration")
-    sp.add_argument("--budget", default=None, help="cap on the elements an oracle scans")
+    budget_flag(sp)
     sp.set_defaults(func=cmd_verify)
 
     return parser

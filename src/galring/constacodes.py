@@ -10,8 +10,9 @@ ambient ring with constant gamma^-1 and equals <(x - alpha^-1)^(a p^s - i)>.
 
 A codeword is a raw word: a tuple of p^s raw coefficient tuples, one per
 coordinate, exactly as ideal_raw yields it and AmbientPoly.raw holds it.
-The word set of a code is materialized literally as {f*g : f in R} so the
-formula layer always has a brute-force counterpart to answer to.
+The word set of a code is the literal set {f*g : f in R} and its dual is
+found by a scan of all of R, both as linear images on packed words (see
+ambient_ring), so the formula layer always has a brute-force counterpart.
 GrElement views of coordinates belong at the API edge only.
 """
 
@@ -20,7 +21,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .ambient_ring import AmbientParams, PolyRaw, constacyclic_shift, ideal_raw, _mul_raw
+from .ambient_ring import AmbientParams, PolyRaw, constacyclic_shift, ideal_raw
+from .ambient_ring import _mul_raw, _packed_images
 from .errors import (
     IndexOutOfRangeError,
     NotAUnitError,
@@ -114,19 +116,17 @@ def brute_force_dual(
     code: ConstaCode, budget: int | None = None
 ) -> frozenset[Word]:
     """Every length-n word orthogonal to all codewords, found by scanning
-    the full ambient module."""
+    the full ambient module.  The shifts x^k*g (k < n) span C over GR and
+    word_dot is GR-bilinear, so the dual is the kernel of the linear map
+    w -> (w . x^k g)_{k<n}, listed for every w on packed words; no dual
+    formula is used."""
     ambient = code.ambient
     check_budget("brute-force dual scan", ambient.size, budget, DEFAULT_DUAL_CAP)
-    ctx = ambient.ctx
-    words = enumerate_codewords(code, budget)
-    out = []
-    for w in ambient.iter_raw():
-        for c in words:
-            if any(word_dot(ctx, w, c)):
-                break
-        else:
-            out.append(w)
-    return frozenset(out)
+    shifts = [code.generator.raw]
+    for _ in range(ambient.n - 1):
+        shifts.append(constacyclic_shift(shifts[-1], ambient.gamma))
+    images = _packed_images(ambient, lambda w: [word_dot(ambient.ctx, w, c) for c in shifts])
+    return frozenset(w for w, image in zip(ambient.iter_raw(), images) if not image)
 
 
 def dual_spot_check(code: ConstaCode, trials: int = 1000, seed: int = 0) -> bool:

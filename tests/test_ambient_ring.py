@@ -2,6 +2,7 @@
 p-th power congruences."""
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -19,7 +20,8 @@ from galring import (
     solve_alpha,
     verify_chain_structure,
 )
-from galring.ambient_ring import _mul_raw, _packed_products, _packing
+from galring.ambient_ring import _mul_raw, _packed_images, _packing, _unit_witness
+from galring.galois_ring import GrElement
 from galring.unit_types import classify_unit
 from galring.verification import CHAIN_SUITE, DUALITY_SUITE
 
@@ -207,5 +209,31 @@ def test_packed_products_match_schoolbook(p, a, m, s):
         unpack = _packing(amb).unpack
         for g in (amb.zero(), unit, amb.constant(p), x_alpha, x_alpha ** amb.n):
             expect = [_mul_raw(amb, f, g.raw) for f in amb.iter_raw()]
-            assert [unpack(w) for w in _packed_products(amb, g.raw)] == expect
+            products = _packed_images(amb, partial(_mul_raw, amb, g.raw))
+            assert [unpack(w) for w in products] == expect
             assert ideal_raw(amb, g.raw) == frozenset(expect)
+
+
+# the chain suite, the a = 1 rings GR(2,2), GR(3,2) and GR(2,3) with
+# s = 1, and the prime fields GR(2,1) with s = 2 and GR(3,1) with s = 1
+UNIT_FLAG_RINGS = sorted(
+    set(CHAIN_SUITE) | {(2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 1), (2, 1, 1, 2), (3, 1, 1, 1)}
+)
+
+
+@pytest.mark.parametrize("p, a, m, s", UNIT_FLAG_RINGS)
+def test_unit_flags_match_evaluation_at_alpha(p, a, m, s):
+    # the survey's unit flags, the packed images p^(a-1) f(alpha) in
+    # iter_raw order, against evaluating f at alpha with GrElement
+    # arithmetic, for every unit constant (Type0 and Type1 alike)
+    ctx = ring(p, a, m)
+    for gamma in ctx.iter_units():
+        amb = AmbientParams(ctx, s, gamma)
+        flags = _packed_images(amb, lambda e: (_unit_witness(amb, e),))
+        expect = []
+        for f in amb.iter_raw():
+            value = ctx.zero
+            for c in reversed(f):
+                value = value * amb.alpha + GrElement(ctx, c)
+            expect.append(value.is_unit)
+        assert [bool(v) for v in flags] == expect

@@ -322,3 +322,48 @@ def test_verify_config_wrong_types_exit_1(capsys, tmp_path, config):
     code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("ring-info", "-p", "x", "-a", "2", "-m", "1"),
+        ("code", *Z4_S2),
+        ("distances", *Z4_S2, "--format", "xml"),
+        ("selfdual", *Z4_S2, "--budget", "abc"),
+    ),
+    ids=("bad-int", "missing-i", "bad-choice", "selfdual-budget"),
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # exit code 2 is reserved for an exceeded budget, so argparse's usage
+    # errors exit with the validation code; selfdual runs no oracle and
+    # takes no --budget
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--help"])
+    assert exc.value.code == 0
+    assert "--budget" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config",
+    (
+        pytest.param({"rings": []}, id="no-rings"),
+        pytest.param({"rings": [[2, 2, 1, 1]], "gammas": []}, id="no-gammas"),
+        pytest.param({"rings": [[2, 1, 1, 1]], "gammas": "all-type1"}, id="no-type1"),
+    ),
+)
+def test_empty_sweep_exits_1(capsys, tmp_path, config):
+    # a sweep that selects no (ring, gamma) pair checks nothing
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "no (ring, gamma)" in err

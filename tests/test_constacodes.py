@@ -22,6 +22,7 @@ from galring import (
     word_dot,
 )
 from galring.unit_types import TYPE1
+from galring.verification import DUALITY_SUITE
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +238,32 @@ def test_enumeration_budget(neg4):
         brute_force_dual(build_code(neg4, 4), budget=100)
     with pytest.raises(BudgetExceededError):
         is_gamma2_constacyclic(build_code(neg4, 4), neg4.ctx.one, budget=100)
+
+
+def _literal_dual(code):
+    """The dual as the literal set {w in R : w . c = 0 for every c in C}."""
+    ctx = code.ambient.ctx
+    words = enumerate_codewords(code)
+    return frozenset(
+        w
+        for w in code.ambient.iter_raw()
+        if not any(any(word_dot(ctx, w, c)) for c in words)
+    )
+
+
+# every Type1 constant of the duality suite rings, and Z27 with s = 1,
+# gamma = 4 from the self-duality check
+@pytest.mark.parametrize(
+    "p, a, m, s, gamma", [(*row, None) for row in DUALITY_SUITE] + [(3, 3, 1, 1, 4)]
+)
+def test_brute_force_dual_matches_literal_scan(p, a, m, s, gamma):
+    ctx = ring(p, a, m)
+    if gamma is None:
+        gammas = [g for g in ctx.iter_units() if classify_unit(g).variant == TYPE1]
+    else:
+        gammas = [ctx.from_int(gamma)]
+    for g in gammas:
+        amb = AmbientParams(ctx, s, g)
+        for i in range(ctx.params.a * amb.n + 1):
+            code = build_code(amb, i)
+            assert brute_force_dual(code) == _literal_dual(code)
